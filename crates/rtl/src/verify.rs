@@ -18,7 +18,7 @@
 
 use crate::analysis::{defs, uses};
 use crate::ir::{CallTarget, Lbl, RInstr, ROp, RRep, RtlFun, RtlProgram, VReg};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use til_common::{Diagnostic, Result};
 use til_vm::regs::NUM_ARGS;
 
@@ -219,51 +219,81 @@ fn verify_fun(
     if n == 0 {
         return Ok(());
     }
+    // Sets are dense bitsets over the function's vregs, each vreg
+    // indexed by its sorted position among the annotated ones (the
+    // representation check above guarantees every vreg that appears
+    // is annotated), so the meet is a word-wise AND.
+    let mut vregs: Vec<VReg> = f.reps.keys().copied().collect();
+    vregs.sort_unstable();
+    let ix = |v: VReg| vregs.binary_search(&v).ok();
+    let words = vregs.len().div_ceil(64);
+    let def_ix: Vec<Option<usize>> = f.instrs.iter().map(|ins| defs(ins).and_then(ix)).collect();
     // Shared successor model (`analysis::successors`): includes an
     // edge to the handler label from every instruction in a protected
     // region, since any of them may raise.
     let succ = crate::analysis::successors(f);
-    let succs = |i: usize| -> &[usize] { &succ[i] };
-    // `None` = not yet reached (top).
-    let mut defined_in: Vec<Option<HashSet<VReg>>> = vec![None; n];
-    defined_in[0] = Some(f.params.iter().copied().collect());
+    // `reached[i]` false = not yet reached (top); otherwise
+    // `defined[i * words..][..words]` is the set defined on entry.
+    let mut reached = vec![false; n];
+    let mut defined = vec![0u64; n * words];
+    reached[0] = true;
+    for k in f.params.iter().filter_map(|&v| ix(v)) {
+        insert(&mut defined[..words], k);
+    }
+    let mut out = vec![0u64; words];
     let mut changed = true;
     while changed {
         changed = false;
         for i in 0..n {
-            let Some(inn) = defined_in[i].clone() else {
+            if !reached[i] {
                 continue;
-            };
-            let mut out = inn;
-            if let Some(d) = defs(&f.instrs[i]) {
-                out.insert(d);
             }
-            for &s in succs(i) {
-                let next = match &defined_in[s] {
-                    None => Some(out.clone()),
-                    Some(cur) => {
-                        let met: HashSet<VReg> = cur.intersection(&out).copied().collect();
-                        (met.len() != cur.len()).then_some(met)
-                    }
-                };
-                if let Some(next) = next {
-                    defined_in[s] = Some(next);
+            out.copy_from_slice(&defined[i * words..][..words]);
+            if let Some(k) = def_ix[i] {
+                insert(&mut out, k);
+            }
+            for &s in &succ[i] {
+                let cur = &mut defined[s * words..][..words];
+                if !reached[s] {
+                    reached[s] = true;
+                    cur.copy_from_slice(&out);
                     changed = true;
+                    continue;
+                }
+                for (c, o) in cur.iter_mut().zip(&out) {
+                    if *c & !*o != 0 {
+                        *c &= *o;
+                        changed = true;
+                    }
                 }
             }
         }
     }
-    for (i, (slot, ins)) in defined_in.iter().zip(&f.instrs).enumerate() {
-        let Some(inn) = slot else {
+    for (i, ins) in f.instrs.iter().enumerate() {
+        if !reached[i] {
             continue; // unreachable code
-        };
+        }
+        let inn = &defined[i * words..][..words];
         for u in uses(ins) {
-            if !inn.contains(&u) {
-                return Err(err(f, i, format!("v{u} used before it is defined on some path")));
+            let is_defined = ix(u).is_some_and(|k| contains(inn, k));
+            if !is_defined {
+                return Err(err(
+                    f,
+                    i,
+                    format!("v{u} used before it is defined on some path"),
+                ));
             }
         }
     }
     Ok(())
+}
+
+fn insert(set: &mut [u64], k: usize) {
+    set[k / 64] |= 1 << (k % 64);
+}
+
+fn contains(set: &[u64], k: usize) -> bool {
+    set[k / 64] >> (k % 64) & 1 == 1
 }
 
 #[cfg(test)]
@@ -300,6 +330,148 @@ mod tests {
             data_table: vec![],
             tagged: false,
         }
+    }
+
+    /// A one-function program over untraced vregs: every vreg that
+    /// appears is annotated `Int`, every label used is declared, and
+    /// one handler slot is available.
+    fn cfg_prog(instrs: Vec<RInstr>) -> RtlProgram {
+        let mut reps = HashMap::new();
+        let mut nlabels = 0;
+        for ins in &instrs {
+            for v in uses(ins).into_iter().chain(defs(ins)) {
+                reps.insert(v, RRep::Int);
+            }
+            if let RInstr::Label(l) = ins {
+                nlabels = nlabels.max(l + 1);
+            }
+        }
+        RtlProgram {
+            funs: vec![RtlFun {
+                name: None,
+                params: vec![],
+                instrs,
+                reps,
+                nlabels,
+                nhandlers: 1,
+            }],
+            globals: vec![],
+            statics: vec![],
+            data_table: vec![],
+            tagged: false,
+        }
+    }
+
+    fn def(dst: VReg) -> RInstr {
+        RInstr::Mov {
+            dst,
+            src: ROp::I(1),
+        }
+    }
+
+    /// Defines v9 from `v`: a plain use of `v`.
+    fn use_of(v: VReg) -> RInstr {
+        RInstr::Mov {
+            dst: 9,
+            src: ROp::V(v),
+        }
+    }
+
+    fn rejected_at(p: &RtlProgram, at: usize, v: VReg) {
+        let e = verify_rtl(p).expect_err("verifier must reject the use");
+        let want = format!("fun <entry> instr {at}: v{v} used before it is defined on some path");
+        assert!(e.to_string().contains(&want), "want `{want}`, got: {e}");
+    }
+
+    /// A def on one arm of a diamond does not reach the join: the use
+    /// after it is rejected at the use's index.
+    #[test]
+    fn def_on_one_arm_only_is_rejected_after_the_join() {
+        let p = cfg_prog(vec![
+            def(0),
+            RInstr::Beqz(0, 0),
+            def(1),
+            RInstr::Br(1),
+            RInstr::Label(0),
+            RInstr::Label(1),
+            use_of(1),
+            RInstr::Ret(None),
+        ]);
+        rejected_at(&p, 6, 1);
+    }
+
+    #[test]
+    fn defs_on_both_arms_are_accepted() {
+        let p = cfg_prog(vec![
+            def(0),
+            RInstr::Beqz(0, 0),
+            def(1),
+            RInstr::Br(1),
+            RInstr::Label(0),
+            def(1),
+            RInstr::Label(1),
+            use_of(1),
+            RInstr::Ret(None),
+        ]);
+        verify_rtl(&p).expect("v1 is defined on both arms");
+    }
+
+    /// The loop head meets the entry path with the back-edge, which
+    /// carries every def of the body: a value defined before the loop
+    /// and redefined in it is defined at the head, while one defined
+    /// only in the body is not (the first iteration misses it).
+    #[test]
+    fn loop_back_edge_carrying_a_def_is_accepted() {
+        let body = |head_use: VReg| {
+            cfg_prog(vec![
+                def(0),
+                def(1),
+                RInstr::Label(0),
+                use_of(head_use),
+                def(1),
+                def(2),
+                RInstr::Bnez(0, 0),
+                use_of(2),
+                RInstr::Ret(None),
+            ])
+        };
+        verify_rtl(&body(1)).expect("v1 is defined on entry and on the back-edge");
+        rejected_at(&body(2), 3, 2);
+    }
+
+    /// Every instruction of a protected region may raise, so a vreg
+    /// defined inside the region is not definitely defined in the
+    /// handler (nothing branches to the handler label: the only edges
+    /// into it are handler edges), while one defined before the
+    /// `PushHandler` is.
+    #[test]
+    fn def_inside_protected_region_is_rejected_in_the_handler() {
+        let p = cfg_prog(vec![
+            def(0),
+            RInstr::PushHandler { lbl: 0, idx: 0 },
+            def(1),
+            RInstr::PopHandler { idx: 0 },
+            RInstr::Br(1),
+            RInstr::Label(0),
+            RInstr::HandlerEntry { dst: 2 },
+            use_of(0),
+            use_of(1),
+            RInstr::Label(1),
+            RInstr::Ret(None),
+        ]);
+        rejected_at(&p, 8, 1);
+    }
+
+    /// Unreachable code is not checked: the analysis never reaches it.
+    #[test]
+    fn use_in_unreachable_code_is_skipped() {
+        let p = cfg_prog(vec![
+            RInstr::Br(0),
+            use_of(1),
+            RInstr::Label(0),
+            RInstr::Ret(None),
+        ]);
+        verify_rtl(&p).expect("the use of v1 is unreachable");
     }
 
     /// Fault injection: an untraced register moved into a traced
