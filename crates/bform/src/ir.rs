@@ -239,41 +239,72 @@ pub enum BSwitch {
 impl BExp {
     /// Counts nodes (bindings + tails), for inliner size budgets.
     pub fn size(&self) -> usize {
+        let mut left = usize::MAX;
+        self.count(&mut left);
+        usize::MAX - left
+    }
+
+    /// Whether [`BExp::size`] is at most `cap`. Counting stops once
+    /// the cap is passed, so the test costs O(`cap`), not O(size).
+    pub fn size_at_most(&self, cap: usize) -> bool {
+        let mut left = cap;
+        self.count(&mut left)
+    }
+
+    /// Takes one unit of `left` per node; false once it runs out.
+    fn count(&self, left: &mut usize) -> bool {
         match self {
-            BExp::Let { rhs, body, .. } => 1 + rhs.size() + body.size(),
+            BExp::Let { rhs, body, .. } => take(left) && rhs.count(left) && body.count(left),
             BExp::Fix { funs, body } => {
-                1 + funs.iter().map(|f| f.body.size()).sum::<usize>() + body.size()
+                take(left) && funs.iter().all(|f| f.body.count(left)) && body.count(left)
             }
-            BExp::Ret(_) => 1,
+            BExp::Ret(_) => take(left),
         }
+    }
+}
+
+fn take(left: &mut usize) -> bool {
+    match left.checked_sub(1) {
+        Some(l) => {
+            *left = l;
+            true
+        }
+        None => false,
     }
 }
 
 impl BRhs {
     /// Counts nodes.
     pub fn size(&self) -> usize {
-        match self {
-            BRhs::Switch(sw) => match sw {
-                BSwitch::Int { arms, default, .. } => {
-                    1 + arms.iter().map(|(_, a)| a.size()).sum::<usize>() + default.size()
-                }
-                BSwitch::Data { arms, default, .. } => {
-                    1 + arms.iter().map(|(_, _, a)| a.size()).sum::<usize>()
-                        + default.as_ref().map_or(0, |d| d.size())
-                }
-                BSwitch::Str { arms, default, .. } => {
-                    1 + arms.iter().map(|(_, a)| a.size()).sum::<usize>() + default.size()
-                }
-                BSwitch::Exn { arms, default, .. } => {
-                    1 + arms.iter().map(|(_, _, a)| a.size()).sum::<usize>() + default.size()
-                }
-            },
-            BRhs::Typecase {
-                int, float, ptr, ..
-            } => 1 + int.size() + float.size() + ptr.size(),
-            BRhs::Handle { body, handler, .. } => 1 + body.size() + handler.size(),
-            _ => 1,
-        }
+        let mut left = usize::MAX;
+        self.count(&mut left);
+        usize::MAX - left
+    }
+
+    fn count(&self, left: &mut usize) -> bool {
+        take(left)
+            && match self {
+                BRhs::Switch(sw) => match sw {
+                    BSwitch::Int { arms, default, .. } => {
+                        arms.iter().all(|(_, a)| a.count(left)) && default.count(left)
+                    }
+                    BSwitch::Data { arms, default, .. } => {
+                        arms.iter().all(|(_, _, a)| a.count(left))
+                            && default.as_ref().is_none_or(|d| d.count(left))
+                    }
+                    BSwitch::Str { arms, default, .. } => {
+                        arms.iter().all(|(_, a)| a.count(left)) && default.count(left)
+                    }
+                    BSwitch::Exn { arms, default, .. } => {
+                        arms.iter().all(|(_, _, a)| a.count(left)) && default.count(left)
+                    }
+                },
+                BRhs::Typecase {
+                    int, float, ptr, ..
+                } => int.count(left) && float.count(left) && ptr.count(left),
+                BRhs::Handle { body, handler, .. } => body.count(left) && handler.count(left),
+                _ => true,
+            }
     }
 
     /// True when evaluating this RHS can have no observable effect
@@ -355,6 +386,21 @@ mod tests {
             body: Box::new(BExp::Ret(Atom::Var(v))),
         };
         assert_eq!(e.size(), 3);
+        let w = vs.fresh();
+        let sw = BExp::Let {
+            var: w,
+            rhs: BRhs::Switch(BSwitch::Int {
+                scrut: Atom::Int(0),
+                arms: vec![(1, e)],
+                default: Box::new(BExp::Ret(Atom::Int(0))),
+                con: Con::Int,
+            }),
+            body: Box::new(BExp::Ret(Atom::Var(w))),
+        };
+        assert_eq!(sw.size(), 7);
+        assert!(sw.size_at_most(7));
+        assert!(!sw.size_at_most(6));
+        assert!(!sw.size_at_most(0));
     }
 
     #[test]

@@ -19,7 +19,7 @@ use til_lambda::env::DataId;
 pub use til_lambda::ty::{TyVar as CVar, TyVarSupply as CVarSupply};
 
 /// A constructor — an Lmli type.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Con {
     /// A constructor variable (bound by a polymorphic function).
     Var(CVar),

@@ -13,7 +13,9 @@
 use crate::con::{con_eq, rep_tag, CVar, Con, RepClass};
 use crate::data::{DataRep, MDataEnv, MExnEnv};
 use crate::exp::{MExp, MFun, MProgram, MSwitch};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::fmt;
 use til_common::{Diagnostic, Result, Var};
 
 const PHASE: &str = "lmli-typecheck";
@@ -132,7 +134,7 @@ impl<'a> ConCtx<'a> {
         match c {
             Con::Var(v) => match self.refine.get(v) {
                 Some(Refinement::PtrClass) => RepClass::Ptr,
-                Some(Refinement::Exact(e)) => self.tag_of(&e.clone()),
+                Some(Refinement::Exact(e)) => self.tag_of(e),
                 None => RepClass::Unknown,
             },
             other => rep_tag(other, &|id| self.data.is_enum(id)),
@@ -141,63 +143,114 @@ impl<'a> ConCtx<'a> {
 
     /// Refined normalization.
     pub fn norm(&self, c: &Con) -> Con {
+        self.norm_cow(c).into_owned()
+    }
+
+    /// Refined normalization that borrows `c` when it is already in
+    /// normal form: only a refinement, a `SpecArray` or a `Typecase`
+    /// that actually rewrites allocates.
+    pub fn norm_cow<'c>(&self, c: &'c Con) -> Cow<'c, Con> {
         match c {
             Con::Var(v) => match self.refine.get(v) {
-                Some(Refinement::Exact(e)) => self.norm(&e.clone()),
-                _ => c.clone(),
+                Some(Refinement::Exact(e)) => Cow::Owned(self.norm(e)),
+                _ => Cow::Borrowed(c),
             },
-            Con::Int | Con::Float | Con::Boxed | Con::Str | Con::Exn => c.clone(),
+            Con::Int | Con::Float | Con::Boxed | Con::Str | Con::Exn => Cow::Borrowed(c),
             Con::Arrow {
                 cparams,
                 params,
                 ret,
-            } => Con::Arrow {
-                cparams: cparams.clone(),
-                params: params.iter().map(|p| self.norm(p)).collect(),
-                ret: Box::new(self.norm(ret)),
+            } => {
+                let nparams = self.norm_all(params);
+                let nret = self.norm_cow(ret);
+                if nparams.is_none() && matches!(nret, Cow::Borrowed(_)) {
+                    return Cow::Borrowed(c);
+                }
+                Cow::Owned(Con::Arrow {
+                    cparams: cparams.clone(),
+                    params: nparams.unwrap_or_else(|| params.clone()),
+                    ret: Box::new(nret.into_owned()),
+                })
+            }
+            Con::Record(fs) => match self.norm_all(fs) {
+                Some(fs) => Cow::Owned(Con::Record(fs)),
+                None => Cow::Borrowed(c),
             },
-            Con::Record(fs) => Con::Record(fs.iter().map(|f| self.norm(f)).collect()),
-            Con::Array(t) => Con::Array(Box::new(self.norm(t))),
+            Con::Array(t) => match self.norm_cow(t) {
+                Cow::Owned(t) => Cow::Owned(Con::Array(Box::new(t))),
+                Cow::Borrowed(_) => Cow::Borrowed(c),
+            },
             Con::SpecArray(t) => {
-                let elem = self.norm(t);
+                let elem = self.norm_cow(t);
                 match self.tag_of(&elem) {
-                    RepClass::Float => Con::Array(Box::new(Con::Float)),
-                    RepClass::Int | RepClass::Ptr => Con::Array(Box::new(elem)),
-                    RepClass::Unknown => Con::SpecArray(Box::new(elem)),
+                    RepClass::Float => Cow::Owned(Con::Array(Box::new(Con::Float))),
+                    RepClass::Int | RepClass::Ptr => {
+                        Cow::Owned(Con::Array(Box::new(elem.into_owned())))
+                    }
+                    RepClass::Unknown => match elem {
+                        Cow::Owned(e) => Cow::Owned(Con::SpecArray(Box::new(e))),
+                        Cow::Borrowed(_) => Cow::Borrowed(c),
+                    },
                 }
             }
-            Con::Data(id, args) => {
-                Con::Data(*id, args.iter().map(|a| self.norm(a)).collect())
-            }
+            Con::Data(id, args) => match self.norm_all(args) {
+                Some(args) => Cow::Owned(Con::Data(*id, args)),
+                None => Cow::Borrowed(c),
+            },
             Con::Typecase {
                 scrut,
                 int,
                 float,
                 ptr,
             } => {
-                let s = self.norm(scrut);
+                let s = self.norm_cow(scrut);
                 match self.tag_of(&s) {
-                    RepClass::Int => self.norm(int),
-                    RepClass::Float => self.norm(float),
-                    RepClass::Ptr => self.norm(ptr),
-                    RepClass::Unknown => Con::Typecase {
-                        scrut: Box::new(s),
-                        int: Box::new(self.norm(int)),
-                        float: Box::new(self.norm(float)),
-                        ptr: Box::new(self.norm(ptr)),
-                    },
+                    RepClass::Int => self.norm_cow(int),
+                    RepClass::Float => self.norm_cow(float),
+                    RepClass::Ptr => self.norm_cow(ptr),
+                    RepClass::Unknown => {
+                        let i = self.norm_cow(int);
+                        let f = self.norm_cow(float);
+                        let p = self.norm_cow(ptr);
+                        let borrowed = |x: &Cow<Con>| matches!(x, Cow::Borrowed(_));
+                        if borrowed(&s) && borrowed(&i) && borrowed(&f) && borrowed(&p) {
+                            return Cow::Borrowed(c);
+                        }
+                        Cow::Owned(Con::Typecase {
+                            scrut: Box::new(s.into_owned()),
+                            int: Box::new(i.into_owned()),
+                            float: Box::new(f.into_owned()),
+                            ptr: Box::new(p.into_owned()),
+                        })
+                    }
                 }
             }
         }
     }
 
-    /// Equality of refined normal forms.
+    /// Normalizes every element; `None` when all are already normal.
+    fn norm_all(&self, cs: &[Con]) -> Option<Vec<Con>> {
+        for (i, c) in cs.iter().enumerate() {
+            if let Cow::Owned(n) = self.norm_cow(c) {
+                let mut out = Vec::with_capacity(cs.len());
+                out.extend_from_slice(&cs[..i]);
+                out.push(n);
+                out.extend(cs[i + 1..].iter().map(|c| self.norm(c)));
+                return Some(out);
+            }
+        }
+        None
+    }
+
+    /// Equality of refined normal forms. Syntactically equal
+    /// constructors have equal normal forms, so they skip normalizing.
     pub fn eq(&self, a: &Con, b: &Con) -> bool {
-        con_eq(&self.norm(a), &self.norm(b))
+        a == b || con_eq(&self.norm_cow(a), &self.norm_cow(b))
     }
 
     /// Requires `got` to equal `want`, reporting `what` otherwise.
-    pub fn expect(&self, what: &str, got: &Con, want: &Con) -> Result<()> {
+    /// `what` is rendered only on failure.
+    pub fn expect(&self, what: impl fmt::Display, got: &Con, want: &Con) -> Result<()> {
         if self.eq(got, want) {
             Ok(())
         } else {
@@ -236,7 +289,7 @@ impl<'a> Tc<'a> {
         self.cx.eq(a, b)
     }
 
-    fn expect(&self, what: &str, got: &Con, want: &Con) -> Result<()> {
+    fn expect(&self, what: impl fmt::Display, got: &Con, want: &Con) -> Result<()> {
         self.cx.expect(what, got, want)
     }
 
@@ -455,7 +508,7 @@ impl<'a> Tc<'a> {
                 for (a, want) in args.iter().zip(&sig.args) {
                     let got = self.check(a)?;
                     let want = want.subst(&map);
-                    self.expect(&format!("argument of {prim}"), &got, &want)?;
+                    self.expect(format_args!("argument of {prim}"), &got, &want)?;
                 }
                 Ok(sig.ret.subst(&map))
             }
@@ -524,7 +577,7 @@ impl<'a> Tc<'a> {
             saved.push((*v, self.bind(*v, c.clone())));
         }
         let got = self.check(&f.body)?;
-        self.expect(&format!("body of {}", f.var), &got, &f.ret)?;
+        self.expect(format_args!("body of {}", f.var), &got, &f.ret)?;
         for (v, old) in saved.into_iter().rev() {
             self.unbind(v, old);
         }

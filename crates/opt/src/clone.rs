@@ -321,9 +321,9 @@ fn clone_rhs(r: &BRhs, env: &mut HashMap<Var, Var>, vs: &mut VarSupply) -> BRhs 
 }
 
 /// Walks the linear spine of `e` to its final `Ret` and replaces it
-/// with `k(atom)` — the inliner's splice (function bodies have exactly
-/// one spine-level `Ret` by construction).
-pub fn splice_ret(e: BExp, k: &mut dyn FnMut(Atom) -> BExp) -> BExp {
+/// with `k(atom)` — the inliner's splice (a spine has exactly one
+/// `Ret`, so `k` runs once).
+pub fn splice_ret(e: BExp, k: impl FnOnce(Atom) -> BExp) -> BExp {
     match e {
         BExp::Ret(a) => k(a),
         BExp::Let { var, rhs, body } => BExp::Let {
@@ -372,7 +372,7 @@ mod tests {
             rhs: BRhs::Atom(Atom::Int(5)),
             body: Box::new(BExp::Ret(Atom::Var(x))),
         };
-        let out = splice_ret(e, &mut |a| {
+        let out = splice_ret(e, |a| {
             BExp::Let {
                 var: Var::from_raw(99, None),
                 rhs: BRhs::Atom(a),

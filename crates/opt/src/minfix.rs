@@ -68,13 +68,11 @@ fn exp(e: BExp, changed: &mut bool) -> BExp {
             *changed = true;
             // Tarjan emits SCCs in reverse topological order (callees
             // first); nest so that later components see earlier ones.
+            // The SCCs partition the nest, so every slot is taken once.
             let mut slots: Vec<Option<BFun>> = funs.into_iter().map(Some).collect();
             let mut out = body;
             for comp in sccs.into_iter().rev() {
-                let group: Vec<BFun> = comp
-                    .into_iter()
-                    .map(|i| slots[i].take().expect("each fun in one SCC"))
-                    .collect();
+                let group: Vec<BFun> = comp.into_iter().filter_map(|i| slots[i].take()).collect();
                 out = BExp::Fix {
                     funs: group,
                     body: Box::new(out),
@@ -126,9 +124,11 @@ fn rewrite_nested(r: &mut BRhs, changed: &mut bool) {
 /// Tarjan's SCC algorithm; returns components in reverse topological
 /// order (callees before callers).
 fn tarjan(n: usize, edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    /// `index` of a vertex not yet visited.
+    const UNVISITED: usize = usize::MAX;
     struct St<'a> {
         edges: &'a [Vec<usize>],
-        index: Vec<Option<usize>>,
+        index: Vec<usize>,
         low: Vec<usize>,
         on_stack: Vec<bool>,
         stack: Vec<usize>,
@@ -136,23 +136,24 @@ fn tarjan(n: usize, edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
         out: Vec<Vec<usize>>,
     }
     fn strong(v: usize, st: &mut St) {
-        st.index[v] = Some(st.counter);
+        st.index[v] = st.counter;
         st.low[v] = st.counter;
         st.counter += 1;
         st.stack.push(v);
         st.on_stack[v] = true;
-        for &w in &st.edges[v].to_vec() {
-            if st.index[w].is_none() {
+        let edges = st.edges;
+        for &w in &edges[v] {
+            if st.index[w] == UNVISITED {
                 strong(w, st);
                 st.low[v] = st.low[v].min(st.low[w]);
             } else if st.on_stack[w] {
-                st.low[v] = st.low[v].min(st.index[w].unwrap());
+                st.low[v] = st.low[v].min(st.index[w]);
             }
         }
-        if st.low[v] == st.index[v].unwrap() {
+        if st.low[v] == st.index[v] {
+            // Pop the component: everything above and including `v`.
             let mut comp = Vec::new();
-            loop {
-                let w = st.stack.pop().unwrap();
+            while let Some(w) = st.stack.pop() {
                 st.on_stack[w] = false;
                 comp.push(w);
                 if w == v {
@@ -164,7 +165,7 @@ fn tarjan(n: usize, edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
     }
     let mut st = St {
         edges,
-        index: vec![None; n],
+        index: vec![UNVISITED; n],
         low: vec![0; n],
         on_stack: vec![false; n],
         stack: Vec::new(),
@@ -172,7 +173,7 @@ fn tarjan(n: usize, edges: &[Vec<usize>]) -> Vec<Vec<usize>> {
         out: Vec::new(),
     };
     for v in 0..n {
-        if st.index[v].is_none() {
+        if st.index[v] == UNVISITED {
             strong(v, &mut st);
         }
     }

@@ -165,16 +165,17 @@ impl OptStats {
         size_after: usize,
     ) {
         self.passes += 1;
-        let stat = match self.pass_stats.iter_mut().find(|s| s.name == name) {
-            Some(s) => s,
+        let i = match self.pass_stats.iter().position(|s| s.name == name) {
+            Some(i) => i,
             None => {
                 self.pass_stats.push(PassStat {
                     name,
                     ..PassStat::default()
                 });
-                self.pass_stats.last_mut().unwrap()
+                self.pass_stats.len() - 1
             }
         };
+        let stat = &mut self.pass_stats[i];
         stat.runs += 1;
         stat.seconds += seconds;
         stat.nodes_eliminated += size_before.saturating_sub(size_after) as u64;

@@ -10,11 +10,12 @@
 //! Table 7 loop-optimization ablation can disable exactly the paper's
 //! loop-oriented set.
 
-use crate::census::{census, Census};
+use crate::census::{census_with_nests, Census, NestCounts};
 use crate::clone::{alpha_clone, splice_ret, subst_cons_exp};
 use std::collections::{HashMap, HashSet};
 use til_bform::{Atom, BExp, BFun, BProgram, BRhs, BSwitch};
 use til_common::{Var, VarSupply};
+use til_lambda::DataId;
 use til_lmli::con::{Con, RepClass};
 use til_lmli::data::MDataEnv;
 use til_lmli::prim::MPrim;
@@ -88,29 +89,7 @@ pub fn simplify_with_signs(
     opts: &SimplifyOpts,
     signs: &HashMap<Var, i64>,
 ) -> bool {
-    let cen = census(&p.body);
-    let boundary = vs.count();
-    let mut facts = Facts::default();
-    if opts.compare_elim {
-        for (v, lo) in signs {
-            facts.narrow(*v, Some(*lo), None);
-        }
-    }
-    let mut s = Simp {
-        census_boundary: boundary,
-        vs,
-        data: &p.data,
-        opts,
-        census: cen,
-        changed: false,
-        env: HashMap::new(),
-        cse: HashMap::new(),
-        used: HashSet::new(),
-        once: HashMap::new(),
-        small: HashMap::new(),
-        facts,
-        inline_budget: 1000,
-    };
+    let mut s = Simp::new(&p.body, &p.data, vs, opts, signs);
     let body = std::mem::replace(&mut p.body, BExp::Ret(Atom::Int(0)));
     p.body = s.exp(body);
     s.changed
@@ -121,7 +100,7 @@ enum Def {
     Atom(Atom),
     Record(Vec<Atom>),
     ConVal {
-        data: til_lambda::DataId,
+        data: DataId,
         tag: usize,
         fields: Vec<Atom>,
     },
@@ -133,18 +112,57 @@ enum Def {
     Fun,
 }
 
+/// A variable's known range: inclusive lower and upper bounds.
+type Range = (Option<i64>, Option<i64>);
+
 /// Integer facts: per-variable ranges (rule of signs generalized to
 /// intervals) and strict/non-strict order relations between atoms.
-#[derive(Clone, Debug, Default)]
+///
+/// Facts are scoped: [`Facts::unwind`] undoes every change made since
+/// a [`Facts::mark`], at the cost of the changes rather than of the
+/// whole fact set.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Facts {
-    range: HashMap<Var, (Option<i64>, Option<i64>)>,
+    range: HashMap<Var, Range>,
     lt: Vec<(Atom, Atom)>,
     le: Vec<(Atom, Atom)>,
+    /// Each range entry as it was before a `narrow`, oldest first.
+    undo: Vec<(Var, Option<Range>)>,
+}
+
+/// A point to [`Facts::unwind`] to.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FactsMark {
+    undo: usize,
+    lt: usize,
+    le: usize,
 }
 
 impl Facts {
+    /// The current state, to unwind to later.
+    pub(crate) fn mark(&self) -> FactsMark {
+        FactsMark {
+            undo: self.undo.len(),
+            lt: self.lt.len(),
+            le: self.le.len(),
+        }
+    }
+
+    /// Undoes every change made since `m` was taken.
+    pub(crate) fn unwind(&mut self, m: FactsMark) {
+        for (v, old) in self.undo.drain(m.undo..).rev() {
+            match old {
+                Some(r) => self.range.insert(v, r),
+                None => self.range.remove(&v),
+            };
+        }
+        self.lt.truncate(m.lt);
+        self.le.truncate(m.le);
+    }
+
     /// Sets (intersects) a variable's known range.
     pub fn narrow(&mut self, v: Var, lo: Option<i64>, hi: Option<i64>) {
+        self.undo.push((v, self.range.get(&v).copied()));
         let e = self.range.entry(v).or_insert((None, None));
         if let Some(l) = lo {
             e.0 = Some(e.0.map_or(l, |x| x.max(l)));
@@ -154,7 +172,7 @@ impl Facts {
         }
     }
 
-    fn range_of(&self, a: &Atom) -> (Option<i64>, Option<i64>) {
+    fn range_of(&self, a: &Atom) -> Range {
         match a {
             Atom::Int(n) => (Some(*n), Some(*n)),
             Atom::Var(v) => self.range.get(v).copied().unwrap_or((None, None)),
@@ -249,9 +267,15 @@ struct Simp<'a> {
     data: &'a MDataEnv,
     opts: &'a SimplifyOpts,
     census: Census,
+    /// Sibling occurrences in every `fix` nest of the pass-start
+    /// program.
+    nests: NestCounts,
+    /// Binders of clone-inlined nest members → the pass-start member
+    /// they copy, so a copy's nest resolves in `nests`.
+    cloned_from: HashMap<Var, Var>,
     changed: bool,
     env: HashMap<Var, Def>,
-    cse: HashMap<String, Var>,
+    cse: CseTable,
     used: HashSet<Var>,
     once: HashMap<Var, BFun>,
     small: HashMap<Var, BFun>,
@@ -260,7 +284,42 @@ struct Simp<'a> {
 }
 
 impl<'a> Simp<'a> {
-    fn is_enum(&self, id: til_lambda::DataId) -> bool {
+    /// A simplifier for one pass over `body`, taking its census and
+    /// nest table.
+    fn new(
+        body: &BExp,
+        data: &'a MDataEnv,
+        vs: &'a mut VarSupply,
+        opts: &'a SimplifyOpts,
+        signs: &HashMap<Var, i64>,
+    ) -> Simp<'a> {
+        let (census, nests) = census_with_nests(body);
+        let mut facts = Facts::default();
+        if opts.compare_elim {
+            for (v, lo) in signs {
+                facts.narrow(*v, Some(*lo), None);
+            }
+        }
+        Simp {
+            census_boundary: vs.count(),
+            vs,
+            data,
+            opts,
+            census,
+            nests,
+            cloned_from: HashMap::new(),
+            changed: false,
+            env: HashMap::new(),
+            cse: CseTable::default(),
+            used: HashSet::new(),
+            once: HashMap::new(),
+            small: HashMap::new(),
+            facts,
+            inline_budget: 1000,
+        }
+    }
+
+    fn is_enum(&self, id: DataId) -> bool {
         self.data.is_enum(id)
     }
 
@@ -321,6 +380,30 @@ impl<'a> Simp<'a> {
         }
     }
 
+    /// Opens a scope for facts and CSE entries: [`Simp::unwind`]
+    /// forgets what the scope added.
+    fn scope(&self) -> Mark {
+        Mark {
+            facts: self.facts.mark(),
+            cse: self.cse.added.len(),
+        }
+    }
+
+    fn unwind(&mut self, m: Mark) {
+        self.facts.unwind(m.facts);
+        self.cse.unwind(m.cse);
+    }
+
+    /// The pass-start name of nest member `v`.
+    fn origin(&self, v: Var) -> Var {
+        self.cloned_from.get(&v).copied().unwrap_or(v)
+    }
+
+    /// Occurrences of `g` in `f`'s body, for `f` and `g` of one nest.
+    fn uses_in(&self, f: Var, g: Var) -> usize {
+        self.nests.uses_in(self.origin(f), self.origin(g))
+    }
+
     fn exp(&mut self, e: BExp) -> BExp {
         match e {
             BExp::Ret(a) => {
@@ -333,27 +416,23 @@ impl<'a> Simp<'a> {
         }
     }
 
+    /// A `fix` nest reaches here as it was at the start of the pass, up
+    /// to the renaming of clone-inlined copies: the traversal is
+    /// top-down, and inlined bodies and folded arms are moved or cloned
+    /// before they are simplified. So every recursion question is
+    /// answered from the pass-start nest table.
     fn do_fix(&mut self, funs: Vec<BFun>, body: BExp) -> BExp {
-        let nest: Vec<Var> = funs.iter().map(|f| f.var).collect();
         // Whole-nest dead-code elimination: if every reference to every
         // function of the nest comes from within the nest itself, the
         // entire (possibly mutually recursive) group is unreachable.
-        if self.opts.dead_code && nest.iter().all(|v| v.id() < self.census_boundary) {
-            let mut internal = Census::default();
-            for f in &funs {
-                let c = census(&f.body);
-                for v in &nest {
-                    *internal.calls.entry(*v).or_insert(0) += c.calls(*v);
-                    *internal.escapes.entry(*v).or_insert(0) += c.escapes(*v);
-                }
-            }
-            if nest
-                .iter()
-                .all(|v| self.census.uses(*v) == internal.uses(*v))
-            {
-                self.changed = true;
-                return self.exp(body);
-            }
+        if self.opts.dead_code
+            && funs.iter().all(|f| {
+                f.var.id() < self.census_boundary
+                    && self.census.uses(f.var) == self.nests.uses_within_nest(f.var)
+            })
+        {
+            self.changed = true;
+            return self.exp(body);
         }
         let mut kept = Vec::new();
         for f in funs {
@@ -365,12 +444,10 @@ impl<'a> Simp<'a> {
                 self.changed = true;
                 continue;
             }
-            let body_census = census(&f.body);
-            let nest_recursive = nest.iter().any(|v| body_census.uses(*v) > 0);
             if self.opts.inline_once
-                && !nest_recursive
                 && self.census.calls(f.var) == 1
                 && self.census.escapes(f.var) == 0
+                && self.nests.nest_uses_in(self.origin(f.var)) == 0
             {
                 // Stash for inlining at its unique call site.
                 self.once.insert(f.var, f);
@@ -388,8 +465,8 @@ impl<'a> Simp<'a> {
         if self.opts.inline_small {
             let mut cands: Vec<&BFun> = Vec::new();
             for f in &kept {
-                let self_recursive = census(&f.body).uses(f.var) > 0;
-                if !self_recursive && f.body.size() <= self.opts.max_inline_size {
+                let self_recursive = self.uses_in(f.var, f.var) > 0;
+                if !self_recursive && f.body.size_at_most(self.opts.max_inline_size) {
                     cands.push(f);
                 }
             }
@@ -401,8 +478,8 @@ impl<'a> Simp<'a> {
                 for j in (i + 1)..cands.len() {
                     let f = cands[i];
                     let g = cands[j];
-                    let f_calls_g = census(&f.body).uses(g.var) > 0;
-                    let g_calls_f = census(&g.body).uses(f.var) > 0;
+                    let f_calls_g = self.uses_in(f.var, g.var) > 0;
+                    let g_calls_f = self.uses_in(g.var, f.var) > 0;
                     if f_calls_g && g_calls_f {
                         if f.body.size() >= g.body.size() {
                             excluded.push(f.var);
@@ -424,12 +501,10 @@ impl<'a> Simp<'a> {
         // Simplify the retained bodies.
         let mut out_funs = Vec::with_capacity(kept.len());
         for mut f in kept {
-            let saved_facts = self.facts.clone();
-            let saved_cse = self.cse.clone();
+            let mark = self.scope();
             let b = std::mem::replace(&mut f.body, BExp::Ret(Atom::Int(0)));
             f.body = self.exp(b);
-            self.facts = saved_facts;
-            self.cse = saved_cse;
+            self.unwind(mark);
             out_funs.push(f);
         }
         let body = self.exp(body);
@@ -452,7 +527,7 @@ impl<'a> Simp<'a> {
             }
             Outcome::Inline(e) => {
                 self.changed = true;
-                let grafted = splice_ret(e, &mut |a| BExp::Let {
+                let grafted = splice_ret(e, |a| BExp::Let {
                     var,
                     rhs: BRhs::Atom(a),
                     body: Box::new(BExp::Ret(Atom::Int(0))), // placeholder
@@ -468,7 +543,7 @@ impl<'a> Simp<'a> {
                 // CSE.
                 if self.opts.cse {
                     if let Some(key) = cse_key(&r) {
-                        if let Some(prev) = self.cse.get(&key) {
+                        if let Some(prev) = self.cse.map.get(&key) {
                             self.changed = true;
                             self.env.insert(var, Def::Atom(Atom::Var(*prev)));
                             return self.exp(body);
@@ -591,13 +666,13 @@ impl<'a> Simp<'a> {
                 if let til_bform::Atom::Var(fv) = f {
                     if self.opts.inline_once {
                         if let Some(fun) = self.once.remove(&fv) {
-                            return Outcome::Inline(self.build_inline(fun, &cargs, &args, false));
+                            return Outcome::Inline(inline_moved(fun, &cargs, &args));
                         }
                     }
                     if self.opts.inline_small && self.inline_budget > 0 {
-                        if let Some(fun) = self.small.get(&fv).cloned() {
+                        if let Some(e) = self.inline_clone(fv, &cargs, &args) {
                             self.inline_budget -= 1;
-                            return Outcome::Inline(self.build_inline(fun, &cargs, &args, true));
+                            return Outcome::Inline(e);
                         }
                     }
                 }
@@ -608,13 +683,11 @@ impl<'a> Simp<'a> {
                 con,
             }),
             BRhs::Handle { body, var, handler } => {
-                let saved = (self.facts.clone(), self.cse.clone());
+                let mark = self.scope();
                 let body = self.exp(*body);
-                self.facts = saved.0.clone();
-                self.cse = saved.1.clone();
+                self.unwind(mark);
                 let handler = self.exp(*handler);
-                self.facts = saved.0;
-                self.cse = saved.1;
+                self.unwind(mark);
                 // A handle whose body cannot raise could drop the
                 // handler; conservatively keep it.
                 Outcome::Rhs(BRhs::Handle {
@@ -630,7 +703,7 @@ impl<'a> Simp<'a> {
                 ptr,
                 con,
             } => {
-                let enum_fn = |id: til_lambda::DataId| self.is_enum(id);
+                let enum_fn = |id: DataId| self.is_enum(id);
                 let s = scrut.normalize(&enum_fn);
                 if self.opts.const_fold {
                     match rep_tag(&s, &enum_fn) {
@@ -640,16 +713,13 @@ impl<'a> Simp<'a> {
                         RepClass::Unknown => {}
                     }
                 }
-                let saved = (self.facts.clone(), self.cse.clone());
+                let mark = self.scope();
                 let int = Box::new(self.exp(*int));
-                self.facts = saved.0.clone();
-                self.cse = saved.1.clone();
+                self.unwind(mark);
                 let float = Box::new(self.exp(*float));
-                self.facts = saved.0.clone();
-                self.cse = saved.1.clone();
+                self.unwind(mark);
                 let ptr = Box::new(self.exp(*ptr));
-                self.facts = saved.0;
-                self.cse = saved.1;
+                self.unwind(mark);
                 Outcome::Rhs(BRhs::Typecase {
                     scrut: s,
                     int,
@@ -662,63 +732,40 @@ impl<'a> Simp<'a> {
         }
     }
 
-    fn build_inline(
-        &mut self,
-        fun: BFun,
-        cargs: &[Con],
-        args: &[til_bform::Atom],
-        clone: bool,
-    ) -> BExp {
-        let mut body = if clone {
-            let mut env = HashMap::new();
-            // Params must map to fresh names too.
-            let mut fun2 = fun.clone();
-            let nparams: Vec<(Var, Con)> = fun2
-                .params
-                .iter()
-                .map(|(v, c)| {
-                    let nv = self.vs.rename(*v);
-                    env.insert(*v, nv);
-                    (nv, c.clone())
-                })
-                .collect();
-            fun2.params = nparams;
-            fun2.body = alpha_clone(&fun.body, &mut env, self.vs);
-            let mut e = fun2.body;
-            // Bind parameters.
-            for ((p, _), a) in fun2.params.iter().zip(args).rev() {
-                e = BExp::Let {
-                    var: *p,
-                    rhs: BRhs::Atom(*a),
-                    body: Box::new(e),
-                };
-            }
-            let cmap: HashMap<til_lmli::con::CVar, Con> = fun2
-                .cparams
-                .iter()
-                .copied()
-                .zip(cargs.iter().cloned())
-                .collect();
-            subst_cons_exp(&mut e, &cmap);
-            return e;
-        } else {
-            fun.body
-        };
-        let cmap: HashMap<til_lmli::con::CVar, Con> = fun
-            .cparams
+    /// Clone-inlines small function `fv` if it is registered: a copy
+    /// with every binder freshened and the parameters bound to `args`.
+    /// The copy's nest members are recorded under the pass-start
+    /// members they copy.
+    fn inline_clone(&mut self, fv: Var, cargs: &[Con], args: &[Atom]) -> Option<BExp> {
+        let fun = self.small.get(&fv)?;
+        let mut env = HashMap::new();
+        // Params must map to fresh names too.
+        let params: Vec<Var> = fun
+            .params
             .iter()
-            .copied()
-            .zip(cargs.iter().cloned())
+            .map(|(v, _)| {
+                let nv = self.vs.rename(*v);
+                env.insert(*v, nv);
+                nv
+            })
             .collect();
-        subst_cons_exp(&mut body, &cmap);
-        for ((p, _), a) in fun.params.iter().zip(args).rev() {
-            body = BExp::Let {
+        let mut e = alpha_clone(&fun.body, &mut env, self.vs);
+        // Bind parameters.
+        for (p, a) in params.iter().zip(args).rev() {
+            e = BExp::Let {
                 var: *p,
                 rhs: BRhs::Atom(*a),
-                body: Box::new(body),
+                body: Box::new(e),
             };
         }
-        body
+        subst_cons_exp(&mut e, &con_args(&fun.cparams, cargs));
+        for (old, new) in env {
+            let origin = self.origin(old);
+            if self.nests.is_member(origin) {
+                self.cloned_from.insert(new, origin);
+            }
+        }
+        Some(e)
     }
 
     // ---------------------------------------------------------- prims
@@ -879,7 +926,7 @@ impl<'a> Simp<'a> {
             MPrim::PolyEq => {
                 // Intensional-polymorphism payoff: equality at a known
                 // representation becomes a primitive comparison.
-                let enum_fn = |id: til_lambda::DataId| self.is_enum(id);
+                let enum_fn = |id: DataId| self.is_enum(id);
                 let c = cargs[0].normalize(&enum_fn);
                 match &c {
                     Con::Int => {
@@ -1061,7 +1108,7 @@ impl<'a> Simp<'a> {
                 // Rebuild arms with branch facts.
                 let mut out_arms = Vec::with_capacity(arms.len());
                 for (k, arm) in arms {
-                    let saved = (self.facts.clone(), self.cse.clone());
+                    let mark = self.scope();
                     let saved_def = scrut.as_var().and_then(|v| self.env.get(&v).cloned());
                     if self.opts.redundant_switch {
                         if let Atom::Var(v) = scrut {
@@ -1069,8 +1116,7 @@ impl<'a> Simp<'a> {
                         }
                     }
                     let arm = self.exp(arm);
-                    self.facts = saved.0;
-                    self.cse = saved.1;
+                    self.unwind(mark);
                     if let Atom::Var(v) = scrut {
                         match saved_def {
                             Some(ref d) => {
@@ -1083,7 +1129,7 @@ impl<'a> Simp<'a> {
                     }
                     out_arms.push((k, arm));
                 }
-                let saved = (self.facts.clone(), self.cse.clone());
+                let mark = self.scope();
                 if self.opts.redundant_switch && out_arms.len() == 1 {
                     // Binary comparison switch: the default is the
                     // negation when the scrutinee is a comparison.
@@ -1092,8 +1138,7 @@ impl<'a> Simp<'a> {
                     }
                 }
                 let default = Box::new(self.exp(*default));
-                self.facts = saved.0;
-                self.cse = saved.1;
+                self.unwind(mark);
                 Outcome::Rhs(BRhs::Switch(BSwitch::Int {
                     scrut,
                     arms: out_arms,
@@ -1141,7 +1186,7 @@ impl<'a> Simp<'a> {
                 }
                 let mut out_arms = Vec::with_capacity(arms.len());
                 for (tag, binders, arm) in arms {
-                    let saved = (self.facts.clone(), self.cse.clone());
+                    let mark = self.scope();
                     let saved_def = scrut.as_var().and_then(|v| self.env.get(&v).cloned());
                     if self.opts.redundant_switch {
                         if let Atom::Var(v) = scrut {
@@ -1156,8 +1201,7 @@ impl<'a> Simp<'a> {
                         }
                     }
                     let arm = self.exp(arm);
-                    self.facts = saved.0;
-                    self.cse = saved.1;
+                    self.unwind(mark);
                     if let Atom::Var(v) = scrut {
                         match saved_def {
                             Some(ref d) => {
@@ -1172,10 +1216,9 @@ impl<'a> Simp<'a> {
                 }
                 let default = match default {
                     Some(d) => {
-                        let saved = (self.facts.clone(), self.cse.clone());
+                        let mark = self.scope();
                         let d = self.exp(*d);
-                        self.facts = saved.0;
-                        self.cse = saved.1;
+                        self.unwind(mark);
                         Some(Box::new(d))
                     }
                     None => None,
@@ -1198,16 +1241,14 @@ impl<'a> Simp<'a> {
                 let scrut = self.resolve(scrut);
                 let mut out_arms = Vec::with_capacity(arms.len());
                 for (k, arm) in arms {
-                    let saved = (self.facts.clone(), self.cse.clone());
+                    let mark = self.scope();
                     let arm = self.exp(arm);
-                    self.facts = saved.0;
-                    self.cse = saved.1;
+                    self.unwind(mark);
                     out_arms.push((k, arm));
                 }
-                let saved = (self.facts.clone(), self.cse.clone());
+                let mark = self.scope();
                 let default = Box::new(self.exp(*default));
-                self.facts = saved.0;
-                self.cse = saved.1;
+                self.unwind(mark);
                 Outcome::Rhs(BRhs::Switch(BSwitch::Str {
                     scrut,
                     arms: out_arms,
@@ -1224,16 +1265,14 @@ impl<'a> Simp<'a> {
                 let scrut = self.resolve(scrut);
                 let mut out_arms = Vec::with_capacity(arms.len());
                 for (id, binder, arm) in arms {
-                    let saved = (self.facts.clone(), self.cse.clone());
+                    let mark = self.scope();
                     let arm = self.exp(arm);
-                    self.facts = saved.0;
-                    self.cse = saved.1;
+                    self.unwind(mark);
                     out_arms.push((id, binder, arm));
                 }
-                let saved = (self.facts.clone(), self.cse.clone());
+                let mark = self.scope();
                 let default = Box::new(self.exp(*default));
-                self.facts = saved.0;
-                self.cse = saved.1;
+                self.unwind(mark);
                 Outcome::Rhs(BRhs::Switch(BSwitch::Exn {
                     scrut,
                     arms: out_arms,
@@ -1280,6 +1319,25 @@ impl<'a> Simp<'a> {
     }
 }
 
+/// Inlines `fun` at its unique call site: its body, constructor
+/// arguments substituted, under bindings of its parameters to `args`.
+fn inline_moved(fun: BFun, cargs: &[Con], args: &[Atom]) -> BExp {
+    let mut body = fun.body;
+    subst_cons_exp(&mut body, &con_args(&fun.cparams, cargs));
+    for ((p, _), a) in fun.params.iter().zip(args).rev() {
+        body = BExp::Let {
+            var: *p,
+            rhs: BRhs::Atom(*a),
+            body: Box::new(body),
+        };
+    }
+    body
+}
+
+fn con_args(cparams: &[til_lmli::con::CVar], cargs: &[Con]) -> HashMap<til_lmli::con::CVar, Con> {
+    cparams.iter().copied().zip(cargs.iter().cloned()).collect()
+}
+
 /// Replaces the placeholder `Ret 0` body of the freshly grafted binding
 /// of `var` with the real continuation.
 fn replace_placeholder(e: BExp, var: Var, cont: BExp) -> BExp {
@@ -1310,45 +1368,312 @@ fn replace_placeholder(e: BExp, var: Var, cont: BExp) -> BExp {
     }
 }
 
-fn atom_key(a: &Atom) -> String {
-    match a {
-        Atom::Var(v) => format!("v{}", v.id()),
-        Atom::Int(n) => format!("i{n}"),
+/// A point to [`Simp::unwind`] to.
+#[derive(Clone, Copy)]
+struct Mark {
+    facts: FactsMark,
+    cse: usize,
+}
+
+/// The CSE table with an undo log of the keys added, newest last.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct CseTable {
+    map: HashMap<CseKey, Var>,
+    added: Vec<CseKey>,
+}
+
+impl CseTable {
+    /// Binds a key not yet in the table.
+    fn insert(&mut self, key: CseKey, v: Var) {
+        self.added.push(key.clone());
+        self.map.insert(key, v);
     }
+
+    /// Forgets every key added after the first `mark`.
+    fn unwind(&mut self, mark: usize) {
+        for k in self.added.drain(mark..) {
+            self.map.remove(&k);
+        }
+    }
+}
+
+/// An atom as a CSE key sees it: a variable by its id.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+enum AtomKey {
+    Var(u32),
+    Int(i64),
+}
+
+fn atom_key(a: &Atom) -> AtomKey {
+    match a {
+        Atom::Var(v) => AtomKey::Var(v.id()),
+        Atom::Int(n) => AtomKey::Int(*n),
+    }
+}
+
+fn atom_keys(atoms: &[Atom]) -> Vec<AtomKey> {
+    atoms.iter().map(atom_key).collect()
+}
+
+/// What makes two right-hand sides the same computation.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+enum CseKey {
+    Prim(MPrim, Vec<AtomKey>, Vec<Con>),
+    Len(Vec<AtomKey>),
+    Select(usize, AtomKey),
+    Record(Vec<AtomKey>),
+    Con(DataId, usize, Vec<AtomKey>, Vec<Con>),
+    Str(String),
 }
 
 /// A CSE key for RHSs that are safe to share: pure primitives and
 /// primitives that can only raise (§3.3), selections, and immutable
 /// allocations (records, constructors, strings — SML gives them no
 /// identity).
-fn cse_key(r: &BRhs) -> Option<String> {
+fn cse_key(r: &BRhs) -> Option<CseKey> {
     match r {
         BRhs::Prim { prim, cargs, args } => {
-            if (prim.is_pure() || prim.only_raises()) && !matches!(prim, MPrim::ALen) {
-                let asl: Vec<String> = args.iter().map(atom_key).collect();
-                Some(format!("p{prim}({});{:?}", asl.join(","), cargs))
-            } else if matches!(prim, MPrim::ALen) {
-                let asl: Vec<String> = args.iter().map(atom_key).collect();
-                Some(format!("len({})", asl.join(",")))
+            if matches!(prim, MPrim::ALen) {
+                Some(CseKey::Len(atom_keys(args)))
+            } else if prim.is_pure() || prim.only_raises() {
+                Some(CseKey::Prim(*prim, atom_keys(args), cargs.clone()))
             } else {
                 None
             }
         }
-        BRhs::Select(i, a) => Some(format!("s{i}({})", atom_key(a))),
-        BRhs::Record(atoms) => {
-            let asl: Vec<String> = atoms.iter().map(atom_key).collect();
-            Some(format!("r({})", asl.join(",")))
-        }
+        BRhs::Select(i, a) => Some(CseKey::Select(*i, atom_key(a))),
+        BRhs::Record(atoms) => Some(CseKey::Record(atom_keys(atoms))),
         BRhs::Con {
             data,
             cargs,
             tag,
             args,
-        } => {
-            let asl: Vec<String> = args.iter().map(atom_key).collect();
-            Some(format!("c{}#{tag}({});{cargs:?}", data.0, asl.join(",")))
-        }
-        BRhs::Str(s) => Some(format!("str{s:?}")),
+        } => Some(CseKey::Con(*data, *tag, atom_keys(args), cargs.clone())),
+        BRhs::Str(s) => Some(CseKey::Str(s.clone())),
         _ => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn let_(var: Var, rhs: BRhs, body: BExp) -> BExp {
+        BExp::Let {
+            var,
+            rhs,
+            body: Box::new(body),
+        }
+    }
+
+    fn call(f: Var, args: Vec<Atom>) -> BRhs {
+        BRhs::App {
+            f: Atom::Var(f),
+            cargs: vec![],
+            args,
+        }
+    }
+
+    fn prim(prim: MPrim, args: Vec<Atom>) -> BRhs {
+        BRhs::Prim {
+            prim,
+            cargs: vec![],
+            args,
+        }
+    }
+
+    #[test]
+    fn clone_inlined_local_loops_stay_self_recursive() {
+        // fix wrap(x) = (fix lp(n) = if n = 0 then 0 else lp(n - 1)
+        //                in lp(x))
+        // in wrap(1) + wrap(2)
+        let mut vs = VarSupply::new();
+        let v = |vs: &mut VarSupply, n: &str| vs.fresh_named(n);
+        let (wrap, x, lp, n) = (
+            v(&mut vs, "wrap"),
+            v(&mut vs, "x"),
+            v(&mut vs, "lp"),
+            v(&mut vs, "n"),
+        );
+        let (c, r, m, y, z) = (
+            v(&mut vs, "c"),
+            v(&mut vs, "r"),
+            v(&mut vs, "m"),
+            v(&mut vs, "y"),
+            v(&mut vs, "z"),
+        );
+        let (a, b, sum) = (v(&mut vs, "a"), v(&mut vs, "b"), v(&mut vs, "sum"));
+        let lp_body = let_(
+            c,
+            prim(MPrim::IEq, vec![Atom::Var(n), Atom::Int(0)]),
+            let_(
+                r,
+                BRhs::Switch(BSwitch::Int {
+                    scrut: Atom::Var(c),
+                    arms: vec![(1, BExp::Ret(Atom::Int(0)))],
+                    default: Box::new(let_(
+                        m,
+                        prim(MPrim::ISub, vec![Atom::Var(n), Atom::Int(1)]),
+                        let_(y, call(lp, vec![Atom::Var(m)]), BExp::Ret(Atom::Var(y))),
+                    )),
+                    con: Con::Int,
+                }),
+                BExp::Ret(Atom::Var(r)),
+            ),
+        );
+        let fun = |var, param, body| BFun {
+            var,
+            cparams: vec![],
+            params: vec![(param, Con::Int)],
+            ret: Con::Int,
+            body,
+        };
+        let wrap_body = BExp::Fix {
+            funs: vec![fun(lp, n, lp_body)],
+            body: Box::new(let_(
+                z,
+                call(lp, vec![Atom::Var(x)]),
+                BExp::Ret(Atom::Var(z)),
+            )),
+        };
+        let body = BExp::Fix {
+            funs: vec![fun(wrap, x, wrap_body)],
+            body: Box::new(let_(
+                a,
+                call(wrap, vec![Atom::Int(1)]),
+                let_(
+                    b,
+                    call(wrap, vec![Atom::Int(2)]),
+                    let_(
+                        sum,
+                        prim(MPrim::IAdd, vec![Atom::Var(a), Atom::Var(b)]),
+                        BExp::Ret(Atom::Var(sum)),
+                    ),
+                ),
+            )),
+        };
+        let data = MDataEnv::new();
+        let opts = SimplifyOpts::inline(60, false);
+        let mut s = Simp::new(&body, &data, &mut vs, &opts, &HashMap::new());
+        // Enough for the two calls of `wrap`; a loop misclassified as
+        // non-recursive would spend the rest inlining into itself.
+        s.inline_budget = 4;
+        let out = s.exp(body);
+        // Both call sites of `wrap` received a copy of `lp`, under fresh
+        // names that resolve to `lp` in the nest table.
+        let copies: Vec<Var> = s
+            .cloned_from
+            .iter()
+            .filter(|(_, o)| **o == lp)
+            .map(|(c, _)| *c)
+            .collect();
+        assert_eq!(copies.len(), 2, "two clones of lp: {:?}", s.cloned_from);
+        for c in &copies {
+            assert_ne!(*c, lp);
+            assert_eq!(
+                s.uses_in(*c, *c),
+                1,
+                "clone {c} of lp must count its self-call"
+            );
+        }
+        // Only `wrap` was registered for clone-inlining: the original
+        // loop and both copies were classified self-recursive.
+        let small: Vec<Var> = s.small.keys().copied().collect();
+        assert_eq!(small, vec![wrap]);
+        assert!(out.size() > 0);
+    }
+
+    /// SplitMix64, for reproducible random scopes.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    fn random_atom(r: &mut SplitMix, vars: &[Var]) -> Atom {
+        if r.below(3) == 0 {
+            Atom::Int(r.below(9) as i64 - 4)
+        } else {
+            Atom::Var(vars[r.below(vars.len() as u64) as usize])
+        }
+    }
+
+    fn random_bound(r: &mut SplitMix) -> Option<i64> {
+        (r.below(3) != 0).then(|| r.below(21) as i64 - 10)
+    }
+
+    /// Random changes and nested scopes; every scope checks that its
+    /// unwind restores exactly the state at its mark.
+    fn random_scope(
+        r: &mut SplitMix,
+        vars: &[Var],
+        facts: &mut Facts,
+        cse: &mut CseTable,
+        depth: usize,
+    ) {
+        for _ in 0..r.below(12) {
+            match r.below(5) {
+                0 => {
+                    let v = vars[r.below(vars.len() as u64) as usize];
+                    let (lo, hi) = (random_bound(r), random_bound(r));
+                    facts.narrow(v, lo, hi);
+                }
+                1 => facts.add_lt(random_atom(r, vars), random_atom(r, vars)),
+                2 => facts.add_le(random_atom(r, vars), random_atom(r, vars)),
+                3 => {
+                    let key = CseKey::Select(r.below(4) as usize, atom_key(&random_atom(r, vars)));
+                    if !cse.map.contains_key(&key) {
+                        cse.insert(key, vars[r.below(vars.len() as u64) as usize]);
+                    }
+                }
+                _ if depth < 4 => {
+                    let at_mark = (facts.clone(), cse.clone());
+                    let (fm, cm) = (facts.mark(), cse.added.len());
+                    random_scope(r, vars, facts, cse, depth + 1);
+                    facts.unwind(fm);
+                    cse.unwind(cm);
+                    assert_eq!(facts, &at_mark.0, "facts differ after unwind");
+                    assert_eq!(cse, &at_mark.1, "CSE table differs after unwind");
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn unwinding_a_scope_restores_the_state_at_its_mark() {
+        let mut vs = VarSupply::new();
+        let vars: Vec<Var> = (0..5).map(|_| vs.fresh()).collect();
+        for seed in 0..300 {
+            let r = &mut SplitMix(seed);
+            let mut facts = Facts::default();
+            let mut cse = CseTable::default();
+            // Outer state that no scope may disturb.
+            facts.narrow(vars[0], Some(0), None);
+            for _ in 0..8 {
+                let at_mark = (facts.clone(), cse.clone());
+                let (fm, cm) = (facts.mark(), cse.added.len());
+                random_scope(r, &vars, &mut facts, &mut cse, 0);
+                facts.unwind(fm);
+                cse.unwind(cm);
+                assert_eq!(facts, at_mark.0, "seed {seed}: facts differ after unwind");
+                assert_eq!(
+                    cse, at_mark.1,
+                    "seed {seed}: CSE table differs after unwind"
+                );
+                // Changes outside any scope persist.
+                random_scope(r, &vars, &mut facts, &mut cse, 4);
+            }
+        }
     }
 }

@@ -106,8 +106,7 @@ fn with_live_arm(sw: &mut BSwitch, slot: Slot, f: impl FnOnce(BExp) -> BExp) {
             let a = std::mem::replace(&mut arms[i].2, placeholder);
             arms[i].2 = f(a);
         }
-        (BSwitch::Data { default, .. }, Slot::Default) => {
-            let d = default.as_mut().expect("default exists");
+        (BSwitch::Data { default: Some(d), .. }, Slot::Default) => {
             let a = std::mem::replace(&mut **d, placeholder);
             **d = f(a);
         }
@@ -176,18 +175,11 @@ fn exp(e: BExp, result_con: &Con, changed: &mut bool, vs: &mut VarSupply) -> BEx
             if let BRhs::Switch(mut sw) = rhs {
                 if let Some(slot) = live_slot(&sw) {
                     *changed = true;
-                    let mut moved = Some(body);
                     with_live_arm(&mut sw, slot, |arm| {
-                        let cont = moved.take().expect("single live arm");
-                        splice_ret(arm, &mut {
-                            let mut cont = Some(cont);
-                            move |a| BExp::Let {
-                                var,
-                                rhs: BRhs::Atom(a),
-                                body: Box::new(
-                                    cont.take().expect("one spine-level ret in an arm"),
-                                ),
-                            }
+                        splice_ret(arm, |a| BExp::Let {
+                            var,
+                            rhs: BRhs::Atom(a),
+                            body: Box::new(body),
                         })
                     });
                     retype_all(&mut sw, result_con, slot);

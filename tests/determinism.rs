@@ -28,7 +28,10 @@ const EXPECTED: &str = "350";
 /// dedicated `Compiler` (cold) — returns the compiler so a second,
 /// warm compile can reuse its cache.
 fn opts(cache: PreludeCache, jobs: usize) -> Options {
-    let mut o = Options::til();
+    opts_from(Options::til(), cache, jobs)
+}
+
+fn opts_from(mut o: Options, cache: PreludeCache, jobs: usize) -> Options {
     o.prelude_cache = cache;
     o.jobs = Some(jobs);
     o
@@ -86,8 +89,9 @@ fn image_hash(exe: &til::Executable) -> u64 {
 }
 
 /// The golden-image corpus: the fixture above plus one generated
-/// program per differential class, with the committed hash of the
-/// full-TIL linked image. One hash per program: the image is
+/// program per differential class, with the committed hashes of the
+/// full-TIL and the baseline linked images. One hash per program and
+/// configuration: the image is
 /// byte-identical across every prelude-cache level and worker count
 /// (the test asserts exactly that), and the hashes pin the backend's
 /// observable output — any refactor of lowering, register allocation,
@@ -95,23 +99,27 @@ fn image_hash(exe: &til::Executable) -> u64 {
 /// consciously re-pin them with a changelog entry explaining the
 /// image change.
 const GOLDEN_SEED: u64 = 3;
-fn golden_corpus() -> Vec<(&'static str, String, u64)> {
+/// Entries are `(name, source, full-TIL hash, baseline hash)`.
+fn golden_corpus() -> Vec<(&'static str, String, u64, u64)> {
     vec![
-        ("fixture", SRC.to_string(), 0x272e_5529_0882_71be),
+        ("fixture", SRC.to_string(), 0x272e_5529_0882_71be, 0x3507_bf19_736a_36b7),
         (
             "mixed",
             generate_class(GOLDEN_SEED, Class::Mixed).source,
             0x1a1e_1e6c_c146_cc28,
+            0x7a7e_6894_4622_181a,
         ),
         (
             "exceptions",
             generate_class(GOLDEN_SEED, Class::Exceptions).source,
             0xa918_cf8e_675f_c936,
+            0xad05_45e5_7611_0ece,
         ),
         (
             "strings",
             generate_class(GOLDEN_SEED, Class::Strings).source,
             0xabed_6ca9_50c2_6e97,
+            0x709c_7ade_6489_de3c,
         ),
     ]
 }
@@ -122,40 +130,48 @@ fn linked_image_matches_the_committed_golden_hash() {
     // `TIL_PIN_GOLDEN=1 cargo test --test determinism linked_image -- --nocapture`
     // and paste the printed constants.
     let pin = std::env::var("TIL_PIN_GOLDEN").is_ok_and(|v| !v.is_empty() && v != "0");
-    for (name, src, want) in golden_corpus() {
-        for cache in [PreludeCache::Off, PreludeCache::Elab, PreludeCache::Lmli] {
-            for jobs in [1usize, 8] {
-                let exe = Compiler::new(opts(cache, jobs))
-                    .compile(&src)
-                    .expect("compile");
-                if pin {
-                    println!("golden {name} {cache:?} jobs={jobs}: {:#018x}", image_hash(&exe));
-                    continue;
+    for (name, src, til_want, baseline_want) in golden_corpus() {
+        for (config, base, want) in [
+            ("til", Options::til(), til_want),
+            ("baseline", Options::baseline(), baseline_want),
+        ] {
+            for cache in [PreludeCache::Off, PreludeCache::Elab, PreludeCache::Lmli] {
+                for jobs in [1usize, 8] {
+                    let exe = Compiler::new(opts_from(base.clone(), cache, jobs))
+                        .compile(&src)
+                        .expect("compile");
+                    if pin {
+                        println!(
+                            "golden {name} {config} {cache:?} jobs={jobs}: {:#018x}",
+                            image_hash(&exe)
+                        );
+                        continue;
+                    }
+                    assert_eq!(
+                        image_hash(&exe),
+                        want,
+                        "[{name}/{config}/{cache:?}/jobs={jobs}] linked image diverged \
+                         from the committed golden hash (got {:#018x})",
+                        image_hash(&exe)
+                    );
                 }
-                assert_eq!(
-                    image_hash(&exe),
-                    want,
-                    "[{name}/{cache:?}/jobs={jobs}] linked image diverged from \
-                     the committed golden hash (got {:#018x})",
-                    image_hash(&exe)
-                );
             }
+            if pin {
+                continue;
+            }
+            // The collection-scheduling mode is a runtime knob: compiling
+            // with the incremental scheduler must reproduce the same image.
+            let mut inc = opts_from(base, PreludeCache::Elab, 1);
+            inc.gc_mode = til::CollectMode::Incremental {
+                budget: til::DEFAULT_PAUSE_BUDGET,
+            };
+            let exe = Compiler::new(inc).compile(&src).expect("compile");
+            assert_eq!(
+                image_hash(&exe),
+                want,
+                "[{name}/{config}] gc_mode leaked into the golden image"
+            );
         }
-        if pin {
-            continue;
-        }
-        // The collection-scheduling mode is a runtime knob: compiling
-        // with the incremental scheduler must reproduce the same image.
-        let mut inc = opts(PreludeCache::Elab, 1);
-        inc.gc_mode = til::CollectMode::Incremental {
-            budget: til::DEFAULT_PAUSE_BUDGET,
-        };
-        let exe = Compiler::new(inc).compile(&src).expect("compile");
-        assert_eq!(
-            image_hash(&exe),
-            want,
-            "[{name}] gc_mode leaked into the golden image"
-        );
     }
 }
 
