@@ -1,164 +1,59 @@
-//! RTL → LIR lowering: after register allocation, RTL functions are
-//! lowered into the target-independent [`LirFun`] form — the same
-//! operation vocabulary, but with the allocator's [`Assignment`]
-//! attached, a [`SafePoint`] (sorted live-in/live-out virtual-register
-//! sets) embedded on every instruction that can reach a collection or
-//! a stack walk, and the calling-convention [`FunSig`] resolved.
-//! Instruction selection proper lives in [`crate::targets`]; each
-//! [`til_lir::Target`] consumes the LIR produced here.
+//! The target-independent step between register allocation and
+//! instruction selection: [`lir_fun`] wraps an allocated RTL function
+//! in its [`LirFun`] side tables — the allocator's [`til_lir::Assignment`],
+//! a [`SafePoint`] (sorted live-in/live-out virtual-register sets) for
+//! every instruction that can reach a collection or a stack walk, and
+//! the calling-convention [`FunSig`]. Instruction selection proper
+//! lives in [`crate::targets`], matching the RTL instructions directly.
 //!
-//! [`emit_fun`] is the VM-target pipeline entry: lower, then select
-//! with [`crate::targets::vm::VmTarget`].
+//! [`emit_fun`] is the VM-target pipeline entry: attach the side
+//! tables, then select with [`crate::targets::vm::select_fun`].
 
 use crate::regalloc::Alloc;
-use til_lir::{Assignment, LInstr, LirFun, SafePoint, TargetCtx};
+use til_lir::{LirFun, SafePoint};
 use til_rtl::{RInstr, RtlFun, VReg};
 
 pub use crate::targets::vm::EmittedFun;
 pub use til_lir::{FunSig, MRep, Reloc};
 
-/// Lowers one allocated RTL function into LIR.
-pub fn lower_fun(f: &RtlFun, al: &Alloc, tagged: bool) -> LirFun {
-    let safe_point = |i: usize| {
-        let mut live_in: Vec<VReg> = al.live.live_in[i].iter().copied().collect();
-        live_in.sort_unstable();
-        let mut live_out: Vec<VReg> = al.live.live_out[i].iter().copied().collect();
-        live_out.sort_unstable();
-        SafePoint {
-            rtl_at: i,
-            live_in,
-            live_out,
-        }
+/// Attaches the side tables to one allocated RTL function.
+pub fn lir_fun<'a>(f: &'a RtlFun, al: &'a Alloc, tagged: bool) -> LirFun<'a> {
+    let sorted = |set: &std::collections::HashSet<VReg>| {
+        let mut v: Vec<VReg> = set.iter().copied().collect();
+        v.sort_unstable();
+        v
     };
-    let instrs = f
+    let safe_points = f
         .instrs
         .iter()
         .enumerate()
-        .map(|(i, ins)| match ins {
-            RInstr::Mov { dst, src } => LInstr::Mov {
-                dst: *dst,
-                src: *src,
-            },
-            RInstr::Alu { op, dst, a, b } => LInstr::Alu {
-                op: *op,
-                dst: *dst,
-                a: *a,
-                b: *b,
-            },
-            RInstr::Falu { op, dst, a, b } => LInstr::Falu {
-                op: *op,
-                dst: *dst,
-                a: *a,
-                b: *b,
-            },
-            RInstr::Itof { dst, a } => LInstr::Itof { dst: *dst, a: *a },
-            RInstr::Ld { dst, base, off } => LInstr::Ld {
-                dst: *dst,
-                base: *base,
-                off: *off,
-            },
-            RInstr::St { src, base, off } => LInstr::St {
-                src: *src,
-                base: *base,
-                off: *off,
-            },
-            RInstr::LdGlobal { dst, gid } => LInstr::LdGlobal {
-                dst: *dst,
-                gid: *gid,
-            },
-            RInstr::StGlobal { src, gid } => LInstr::StGlobal {
-                src: *src,
-                gid: *gid,
-            },
-            RInstr::LeaCode { dst, code } => LInstr::LeaCode {
-                dst: *dst,
-                code: *code,
-            },
-            RInstr::LeaStatic { dst, obj } => LInstr::LeaStatic {
-                dst: *dst,
-                obj: *obj,
-            },
-            RInstr::Label(l) => LInstr::Label(*l),
-            RInstr::Br(l) => LInstr::Br(*l),
-            RInstr::Beqz(v, l) => LInstr::Beqz(*v, *l),
-            RInstr::Bnez(v, l) => LInstr::Bnez(*v, *l),
-            RInstr::Call { target, args, dst } => LInstr::Call {
-                target: *target,
-                args: args.clone(),
-                dst: *dst,
-                sp: safe_point(i),
-            },
-            RInstr::TailCall { target, args } => LInstr::TailCall {
-                target: *target,
-                args: args.clone(),
-            },
-            RInstr::CallRt { f, args, dst, alloc } => LInstr::CallRt {
-                f: *f,
-                args: args.clone(),
-                dst: *dst,
-                alloc: *alloc,
-                sp: safe_point(i),
-            },
-            RInstr::Ret(v) => LInstr::Ret(*v),
-            RInstr::Alloc { dst, head, fields } => LInstr::Alloc {
-                dst: *dst,
-                head: *head,
-                fields: fields.clone(),
-                sp: safe_point(i),
-            },
-            RInstr::AllocArr {
-                dst,
-                kind,
-                len,
-                init,
-            } => LInstr::AllocArr {
-                dst: *dst,
-                kind: *kind,
-                len: *len,
-                init: *init,
-                sp: safe_point(i),
-            },
-            RInstr::PushHandler { lbl, idx } => LInstr::PushHandler {
-                lbl: *lbl,
-                idx: *idx,
-            },
-            RInstr::PopHandler { idx } => LInstr::PopHandler { idx: *idx },
-            RInstr::HandlerEntry { dst } => LInstr::HandlerEntry { dst: *dst },
-            RInstr::Raise { packet } => LInstr::Raise { packet: *packet },
-            RInstr::TrapIf { cond, trap } => LInstr::TrapIf {
-                cond: *cond,
-                trap: *trap,
-            },
+        .filter(|(_, ins)| {
+            matches!(
+                ins,
+                RInstr::Call { .. }
+                    | RInstr::CallRt { .. }
+                    | RInstr::Alloc { .. }
+                    | RInstr::AllocArr { .. }
+            )
+        })
+        .map(|(i, _)| {
+            let sp = SafePoint {
+                live_in: sorted(&al.live.live_in[i]),
+                live_out: sorted(&al.live.live_out[i]),
+            };
+            (i, sp)
         })
         .collect();
     LirFun {
-        name: f.name,
-        params: f.params.clone(),
-        reps: f.reps.clone(),
-        nhandlers: f.nhandlers,
-        instrs,
-        assign: Assignment {
-            loc: al.loc.clone(),
-            nslots: al.nslots,
-        },
+        rtl: f,
+        assign: &al.assign,
+        safe_points,
         sig: til_lir::fun_sig(f, tagged),
     }
 }
 
-/// Emits one function for the VM target: lower to LIR, then select.
-pub fn emit_fun(
-    f: &RtlFun,
-    al: &Alloc,
-    tagged: bool,
-    statics_addr: &[u64],
-) -> EmittedFun {
-    use til_lir::Target as _;
-    let lir = lower_fun(f, al, tagged);
-    crate::targets::vm::VmTarget.select_fun(
-        &lir,
-        &TargetCtx {
-            tagged,
-            statics_addr,
-        },
-    )
+/// Emits one function for the VM target: attach the side tables, then
+/// select.
+pub fn emit_fun(f: &RtlFun, al: &Alloc, tagged: bool, statics_addr: &[u64]) -> EmittedFun {
+    crate::targets::vm::select_fun(&lir_fun(f, al, tagged), tagged, statics_addr)
 }

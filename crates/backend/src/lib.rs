@@ -1,10 +1,11 @@
-//! The backend (paper §3.7): register allocation, RTL → LIR lowering,
-//! frame construction, GC-table generation, machine-code emission,
-//! and linking. Code generation is split target-independent /
-//! per-target: [`emit`] lowers allocated RTL into [`til_lir`]'s IR,
-//! and the [`targets`] module holds the [`til_lir::Target`] impls —
-//! the simulated ALPHA-style VM (the reference target, linked and
-//! run) and textual x86-64 (assembly with re-derived GC stack maps).
+//! The backend (paper §3.7): register allocation, frame construction,
+//! GC-table generation, machine-code emission, and linking. Code
+//! generation is split target-independent / per-target: [`emit`]
+//! attaches [`til_lir`]'s side tables (assignment, safe points,
+//! signature) to each allocated RTL function, and the [`targets`]
+//! module selects machine code from the RTL directly — for the
+//! simulated ALPHA-style VM (the reference target, linked and run) and
+//! for textual x86-64 (assembly with re-derived GC stack maps).
 
 // The backend is library code on the compile path: failures must
 // surface as diagnostics, never as panics. Narrow, justified

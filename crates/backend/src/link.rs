@@ -7,7 +7,7 @@ use crate::emit::{emit_fun, EmittedFun, FunSig, Reloc};
 use crate::regalloc::allocate;
 use std::collections::HashMap;
 use til_common::{Diagnostic, Result, Tracer, Var};
-use til_runtime::{rep, FrameInfo, GcMode, GcTables, HeapShape, LocRep, RepExpr, RtData};
+use til_runtime::{rep, GcMode, GcTables, HeapShape, LocRep, RepExpr, RtData};
 use til_rtl::{RtlProgram, StaticObj, HEAP_BASE};
 use til_vm::{code_value, header, regs, FuncRange, Instr, Layout, Op, RtFn, Trap};
 
@@ -519,7 +519,3 @@ impl Linked {
         self.code_bytes + self.tables.byte_size() + self.static_bytes
     }
 }
-
-/// A placeholder referenced by `FrameInfo` imports.
-#[allow(dead_code)]
-fn _unused(_f: FrameInfo) {}

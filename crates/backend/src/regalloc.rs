@@ -3,14 +3,14 @@
 //! — which is exactly what the nearly tag-free GC tables describe —
 //! and the remaining, call-free live ranges are colored by
 //! Chaitin-style graph coloring over the target's allocatable
-//! registers (described by a [`RegFile`], so every [`til_lir::Target`]
-//! shares this allocator). Tail calls keep loop-carried values in
-//! registers (nothing is live across a tail call), so tight loops run
+//! registers (described by a [`RegFile`], so every target shares this
+//! allocator). Tail calls keep loop-carried values in registers
+//! (nothing is live across a tail call), so tight loops run
 //! register-resident, as in the paper's Figure 7.
 
 use crate::liveness::{defs, liveness, uses, Liveness};
 use std::collections::{BTreeSet, HashMap, HashSet};
-use til_lir::RegFile;
+use til_lir::{Assignment, RegFile};
 use til_rtl::{RInstr, RtlFun, VReg};
 
 pub use til_lir::Loc;
@@ -21,10 +21,8 @@ pub const K: usize = crate::targets::vm::VM_REG_FILE.allocatable;
 
 /// Allocation result.
 pub struct Alloc {
-    /// vreg locations.
-    pub loc: HashMap<VReg, Loc>,
-    /// Number of frame slots used.
-    pub nslots: u32,
+    /// vreg locations and the number of frame slots used.
+    pub assign: Assignment,
     /// Liveness (reused by the emitter for GC tables).
     pub live: Liveness,
 }
@@ -71,8 +69,10 @@ pub fn allocate_for(f: &RtlFun, rf: &RegFile) -> Alloc {
         loc.insert(*v, Loc::Slot(i as u32));
     }
     Alloc {
-        loc,
-        nslots: slots.len() as u32,
+        assign: Assignment {
+            loc,
+            nslots: slots.len() as u32,
+        },
         live,
     }
 }

@@ -19,8 +19,10 @@
 
 use crate::emit::{emit_fun, EmittedFun};
 use crate::regalloc::{allocate, Alloc, Loc};
+use crate::targets::vm::VmFrame;
 use std::collections::BTreeMap;
 use til_common::{Diagnostic, Result, Tracer};
+use til_lir::FrameLayout;
 use til_runtime::{FrameInfo, LocRep, RepLoc};
 use til_rtl::{RRep, RtlFun, RtlProgram, VReg};
 
@@ -51,37 +53,38 @@ pub fn check_gc_tables_jobs(p: &RtlProgram, jobs: usize, tracer: Option<&Tracer>
     results.into_iter().collect()
 }
 
-fn slot_byte_off(slot: u32) -> u32 {
-    8 * (1 + slot)
-}
-
 fn fun_name(f: &RtlFun) -> String {
     f.name.map(|v| v.to_string()).unwrap_or_else(|| "<entry>".to_string())
 }
 
 /// The pointer-typed frame slots live in `live`, as the emitter must
-/// describe them: byte offset → descriptor.
+/// describe them: byte offset (in the VM target's frame geometry) →
+/// descriptor. Derived from liveness and the allocation alone, not
+/// from the shared table derivation the emitter itself uses.
 fn expected_slots(
     f: &RtlFun,
     al: &Alloc,
+    layout: &VmFrame,
     live: &std::collections::HashSet<VReg>,
 ) -> BTreeMap<u32, LocRep> {
     let mut out = BTreeMap::new();
     for v in live {
-        let Some(Loc::Slot(s)) = al.loc.get(v).copied() else {
+        let Some(Loc::Slot(s)) = al.assign.loc.get(v).copied() else {
             continue;
         };
         let rep = match f.reps.get(v) {
             Some(RRep::Trace) => LocRep::Trace,
-            Some(RRep::Computed(rv)) => match al.loc.get(rv).copied() {
-                Some(Loc::Slot(rs)) => LocRep::Computed(RepLoc::Slot(slot_byte_off(rs))),
+            Some(RRep::Computed(rv)) => match al.assign.loc.get(rv).copied() {
+                Some(Loc::Slot(rs)) => {
+                    LocRep::Computed(RepLoc::Slot(layout.slot_byte_off(rs)))
+                }
                 // Register-resident rep: the emitter conservatively
                 // marks the value unconditionally traced.
                 _ => LocRep::Trace,
             },
             _ => continue,
         };
-        out.insert(slot_byte_off(s), rep);
+        out.insert(layout.slot_byte_off(s), rep);
     }
     out
 }
@@ -100,7 +103,11 @@ fn check_site(
             format!("fun {} {what} at rtl instr {rtl_at}: {msg}", fun_name(f)),
         )
     };
-    let expected = expected_slots(f, al, live);
+    // The VM frame the site's descriptor declares.
+    let layout = VmFrame {
+        frame_bytes: fi.size,
+    };
+    let expected = expected_slots(f, al, &layout, live);
     let mut actual: BTreeMap<u32, LocRep> = BTreeMap::new();
     for (off, rep) in &fi.slots {
         if actual.insert(*off, *rep).is_some() {
@@ -235,9 +242,12 @@ mod tests {
     fn entry_naming_dead_slot_is_rejected() {
         let f = fun_with_spilled_pointer();
         let (al, mut em) = emitted(&f);
-        let bogus_off = slot_byte_off(al.nslots + 7);
         for (_, _, fi) in &mut em.call_sites {
-            fi.slots.push((bogus_off, LocRep::Trace));
+            let layout = VmFrame {
+                frame_bytes: fi.size,
+            };
+            fi.slots
+                .push((layout.slot_byte_off(al.assign.nslots + 7), LocRep::Trace));
         }
         let err = check_fun_tables(&f, &al, &em).unwrap_err();
         assert!(

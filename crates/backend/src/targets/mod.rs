@@ -1,4 +1,5 @@
-//! The pluggable code generators ([`til_lir::Target`] impls).
+//! The code generators: each selects from allocated RTL plus its
+//! [`til_lir::LirFun`] side tables.
 //!
 //! * [`vm`] — the simulated ALPHA-style VM the rest of the toolchain
 //!   links, runs, verifies, and profiles. The reference target: its

@@ -1,8 +1,9 @@
 //! The VM target: instruction selection and frame construction for
-//! the simulated ALPHA-style machine. LIR functions become machine
-//! code with explicit frames, calling-convention moves, open-coded
-//! allocation with GC limit checks, the exception-handler chain, and
-//! the per-site GC tables of §2.3.
+//! the simulated ALPHA-style machine. Allocated RTL functions (with
+//! their [`LirFun`] side tables) become machine code with explicit
+//! frames, calling-convention moves, open-coded allocation with GC
+//! limit checks, the exception-handler chain, and the per-site GC
+//! tables of §2.3.
 //!
 //! In baseline (tagged) mode the frame's value slots live in a
 //! heap-allocated frame record (SML/NJ's heap frames): the stack holds
@@ -12,9 +13,9 @@
 use std::collections::HashMap;
 use til_common::Var;
 use til_lir::{
-    alloc_shape, AllocShape, ArrKind, CallTarget, FrameLayout, FunSig, HeadSpec, LInstr, Lbl,
-    LirFun, Loc, ROp, RegFile, Reloc, SafePoint, Target, TargetCtx, VReg,
+    alloc_shape, AllocShape, FrameLayout, FunSig, LirFun, Loc, RegFile, Reloc, SafePoint,
 };
+use til_rtl::{ArrKind, CallTarget, HeadSpec, Lbl, RInstr, ROp, VReg};
 use til_runtime::{FrameInfo, GcPoint, LocRep};
 use til_vm::{header, regs, Alu, Instr, Op, RtFn};
 
@@ -27,7 +28,6 @@ const S4: u8 = 23;
 /// 0..16 are the argument registers), r22/r23 backend scratch, r24+
 /// special.
 pub const VM_REG_FILE: RegFile = RegFile {
-    name: "vm",
     allocatable: 22,
     num_args: regs::NUM_ARGS,
 };
@@ -66,8 +66,8 @@ pub struct EmittedFun {
 /// The VM frame geometry: return address at offset 0, spill slots
 /// starting at offset 8 (in TIL mode; in baseline the same slot
 /// offsets index the heap frame record after its header).
-struct VmFrame {
-    frame_bytes: u32,
+pub(crate) struct VmFrame {
+    pub(crate) frame_bytes: u32,
 }
 
 impl FrameLayout for VmFrame {
@@ -82,78 +82,65 @@ impl FrameLayout for VmFrame {
     }
 }
 
-/// The simulated ALPHA-style VM code generator.
-pub struct VmTarget;
-
-impl Target for VmTarget {
-    type Output = EmittedFun;
-
-    fn name(&self) -> &'static str {
-        "vm"
+/// Selects VM instructions for one function.
+pub fn select_fun(f: &LirFun, tagged: bool, statics_addr: &[u64]) -> EmittedFun {
+    let ncalls = f
+        .rtl
+        .instrs
+        .iter()
+        .filter(|i| matches!(i, RInstr::Call { .. } | RInstr::CallRt { .. }))
+        .count();
+    let has_frame = ncalls > 0 || f.assign.nslots > 0 || f.rtl.nhandlers > 0;
+    let frame_bytes = if !has_frame {
+        0
+    } else if tagged {
+        8 * (2 + 3 * f.rtl.nhandlers as i64)
+    } else {
+        8 * (1 + f.assign.nslots as i64 + 3 * f.rtl.nhandlers as i64)
+    };
+    let mut e = Emit {
+        f,
+        tagged,
+        statics_addr,
+        out: Vec::new(),
+        relocs: Vec::new(),
+        call_sites: Vec::new(),
+        gc_points: Vec::new(),
+        label_pos: HashMap::new(),
+        fixups: Vec::new(),
+        frame_bytes,
+        has_frame,
+        exn_allocs: Vec::new(),
+        alloc_shapes: Vec::new(),
+    };
+    e.prologue();
+    for (i, ins) in f.rtl.instrs.iter().enumerate() {
+        e.instr(i, ins);
     }
-
-    fn reg_file(&self) -> &'static RegFile {
-        &VM_REG_FILE
+    // Patch local branches.
+    for (at, lbl, kind) in e.fixups.clone() {
+        let target = e.label_pos[&lbl] as u32;
+        e.out[at] = match kind {
+            FixKind::Br => Instr::Br(target),
+            FixKind::Beqz(r) => Instr::Beqz(r, target),
+            FixKind::Bnez(r) => Instr::Bnez(r, target),
+            FixKind::Lea(r) => Instr::Lea { dst: r, target },
+        };
     }
-
-    fn select_fun(&self, f: &LirFun, ctx: &TargetCtx) -> EmittedFun {
-        let ncalls = f
-            .instrs
-            .iter()
-            .filter(|i| matches!(i, LInstr::Call { .. } | LInstr::CallRt { .. }))
-            .count();
-        let has_frame = ncalls > 0 || f.assign.nslots > 0 || f.nhandlers > 0;
-        let frame_bytes = if !has_frame {
-            0
-        } else if ctx.tagged {
-            8 * (2 + 3 * f.nhandlers as i64)
-        } else {
-            8 * (1 + f.assign.nslots as i64 + 3 * f.nhandlers as i64)
-        };
-        let mut e = Emit {
-            f,
-            tagged: ctx.tagged,
-            statics_addr: ctx.statics_addr,
-            out: Vec::new(),
-            relocs: Vec::new(),
-            call_sites: Vec::new(),
-            gc_points: Vec::new(),
-            label_pos: HashMap::new(),
-            fixups: Vec::new(),
-            frame_bytes,
-            has_frame,
-            exn_allocs: Vec::new(),
-            alloc_shapes: Vec::new(),
-        };
-        e.prologue();
-        for ins in &f.instrs {
-            e.instr(ins);
-        }
-        // Patch local branches.
-        for (at, lbl, kind) in e.fixups.clone() {
-            let target = e.label_pos[&lbl] as u32;
-            e.out[at] = match kind {
-                FixKind::Br => Instr::Br(target),
-                FixKind::Beqz(r) => Instr::Beqz(r, target),
-                FixKind::Bnez(r) => Instr::Bnez(r, target),
-                FixKind::Lea(r) => Instr::Lea { dst: r, target },
-            };
-        }
-        EmittedFun {
-            name: f.name,
-            instrs: e.out,
-            relocs: e.relocs,
-            call_sites: e.call_sites,
-            gc_points: e.gc_points,
-            sig: f.sig.clone(),
-            exn_allocs: e.exn_allocs,
-            alloc_shapes: e.alloc_shapes,
-        }
+    EmittedFun {
+        name: f.rtl.name,
+        instrs: e.out,
+        relocs: e.relocs,
+        call_sites: e.call_sites,
+        gc_points: e.gc_points,
+        sig: f.sig.clone(),
+        exn_allocs: e.exn_allocs,
+        alloc_shapes: e.alloc_shapes,
     }
 }
 
 struct Emit<'a> {
-    f: &'a LirFun,
+    f: &'a LirFun<'a>,
     tagged: bool,
     statics_addr: &'a [u64],
     out: Vec<Instr>,
@@ -353,7 +340,7 @@ impl<'a> Emit<'a> {
                     dead: vec![],
                 },
             };
-            for (i, p) in self.f.params.iter().enumerate() {
+            for (i, p) in self.f.rtl.params.iter().enumerate() {
                 if let Some(rep) = self.loc_rep_reg(*p) {
                     point.regs.push((i as u8, rep));
                 }
@@ -400,7 +387,7 @@ impl<'a> Emit<'a> {
         // Move parameters from the argument registers.
         let mut slot_moves = Vec::new();
         let mut reg_moves = Vec::new();
-        for (i, p) in self.f.params.iter().enumerate() {
+        for (i, p) in self.f.rtl.params.iter().enumerate() {
             match self.loc(*p) {
                 Loc::Slot(s) => slot_moves.push((s, i as u8)),
                 Loc::Reg(r) => reg_moves.push((r, i as u8)),
@@ -475,12 +462,6 @@ impl<'a> Emit<'a> {
                 }
             }
             MovSrc::Slot(s) => self.load_slot(s, dst),
-            MovSrc::Imm(i) => {
-                self.push(Instr::Mov {
-                    dst,
-                    src: Op::I(i),
-                });
-            }
         }
     }
 
@@ -523,7 +504,7 @@ impl<'a> Emit<'a> {
         til_lir::call_frame_info(self.f, &self.layout(), self.tagged, sp)
     }
 
-    fn gc_point_here(&mut self, at: usize, sp: &SafePoint) {
+    fn gc_point_here(&mut self, at: usize, rtl_at: usize, sp: &SafePoint) {
         // Registers live into this instruction, plus the frame.
         let mut point = GcPoint {
             regs: vec![],
@@ -540,7 +521,7 @@ impl<'a> Emit<'a> {
             }
         }
         point.regs.sort_by_key(|(r, _)| *r);
-        self.gc_points.push((at, sp.rtl_at, point));
+        self.gc_points.push((at, rtl_at, point));
     }
 }
 
@@ -548,20 +529,19 @@ impl<'a> Emit<'a> {
 enum MovSrc {
     Reg(u8),
     Slot(u32),
-    #[allow(dead_code)]
-    Imm(i64),
 }
 
 impl<'a> Emit<'a> {
-    fn instr(&mut self, ins: &LInstr) {
+    /// Selects RTL instruction `i`.
+    fn instr(&mut self, i: usize, ins: &RInstr) {
         match ins {
-            LInstr::Mov { dst, src } => {
+            RInstr::Mov { dst, src } => {
                 let d = self.def_reg(*dst, TMP);
                 let s = self.fetch_op(src, TMP2);
                 self.push(Instr::Mov { dst: d, src: s });
                 self.finish_def(*dst, d);
             }
-            LInstr::Alu { op, dst, a, b } => {
+            RInstr::Alu { op, dst, a, b } => {
                 let ra = match self.fetch_op(a, TMP) {
                     Op::R(r) => r,
                     Op::I(v) => {
@@ -582,7 +562,7 @@ impl<'a> Emit<'a> {
                 });
                 self.finish_def(*dst, d);
             }
-            LInstr::Falu { op, dst, a, b } => {
+            RInstr::Falu { op, dst, a, b } => {
                 let ra = self.fetch(*a, TMP);
                 let rb = self.fetch(*b, TMP2);
                 let d = self.def_reg(*dst, TMP);
@@ -594,13 +574,13 @@ impl<'a> Emit<'a> {
                 });
                 self.finish_def(*dst, d);
             }
-            LInstr::Itof { dst, a } => {
+            RInstr::Itof { dst, a } => {
                 let ra = self.fetch(*a, TMP);
                 let d = self.def_reg(*dst, TMP);
                 self.push(Instr::Itof { dst: d, a: ra });
                 self.finish_def(*dst, d);
             }
-            LInstr::Ld { dst, base, off } => {
+            RInstr::Ld { dst, base, off } => {
                 let rb = self.fetch(*base, TMP);
                 let d = self.def_reg(*dst, TMP);
                 self.push(Instr::Ld {
@@ -610,7 +590,7 @@ impl<'a> Emit<'a> {
                 });
                 self.finish_def(*dst, d);
             }
-            LInstr::St { src, base, off } => {
+            RInstr::St { src, base, off } => {
                 let rs = self.fetch(*src, TMP);
                 let rb = self.fetch(*base, TMP2);
                 self.push(Instr::St {
@@ -619,7 +599,7 @@ impl<'a> Emit<'a> {
                     off: *off,
                 });
             }
-            LInstr::LdGlobal { dst, gid } => {
+            RInstr::LdGlobal { dst, gid } => {
                 let d = self.def_reg(*dst, TMP);
                 self.push(Instr::Ld {
                     dst: d,
@@ -628,7 +608,7 @@ impl<'a> Emit<'a> {
                 });
                 self.finish_def(*dst, d);
             }
-            LInstr::StGlobal { src, gid } => {
+            RInstr::StGlobal { src, gid } => {
                 let rs = self.fetch(*src, TMP);
                 self.push(Instr::St {
                     src: rs,
@@ -636,7 +616,7 @@ impl<'a> Emit<'a> {
                     off: (8 * gid) as i32,
                 });
             }
-            LInstr::LeaCode { dst, code } => {
+            RInstr::LeaCode { dst, code } => {
                 let d = self.def_reg(*dst, TMP);
                 let at = self.push(Instr::Mov {
                     dst: d,
@@ -645,7 +625,7 @@ impl<'a> Emit<'a> {
                 self.relocs.push((at, Reloc::CodeImm(*code)));
                 self.finish_def(*dst, d);
             }
-            LInstr::LeaStatic { dst, obj } => {
+            RInstr::LeaStatic { dst, obj } => {
                 let d = self.def_reg(*dst, TMP);
                 let addr = self.statics_addr[*obj as usize];
                 self.push(Instr::Mov {
@@ -654,29 +634,24 @@ impl<'a> Emit<'a> {
                 });
                 self.finish_def(*dst, d);
             }
-            LInstr::Label(l) => {
+            RInstr::Label(l) => {
                 self.label_pos.insert(*l, self.out.len());
             }
-            LInstr::Br(l) => {
+            RInstr::Br(l) => {
                 let at = self.push(Instr::Br(0));
                 self.fixups.push((at, *l, FixKind::Br));
             }
-            LInstr::Beqz(v, l) => {
+            RInstr::Beqz(v, l) => {
                 let r = self.fetch(*v, TMP);
                 let at = self.push(Instr::Beqz(r, 0));
                 self.fixups.push((at, *l, FixKind::Beqz(r)));
             }
-            LInstr::Bnez(v, l) => {
+            RInstr::Bnez(v, l) => {
                 let r = self.fetch(*v, TMP);
                 let at = self.push(Instr::Bnez(r, 0));
                 self.fixups.push((at, *l, FixKind::Bnez(r)));
             }
-            LInstr::Call {
-                target,
-                args,
-                dst,
-                sp,
-            } => {
+            RInstr::Call { target, args, dst } => {
                 // Fetch an indirect target before the argument moves.
                 let tgt = match target {
                     CallTarget::Reg(v) => {
@@ -704,14 +679,14 @@ impl<'a> Emit<'a> {
                 // Call-site table: the return address is the next
                 // instruction.
                 if !self.tagged {
-                    let fi = self.call_frame_info(sp);
-                    self.call_sites.push((self.out.len(), sp.rtl_at, fi));
+                    let fi = self.call_frame_info(self.f.safe_point(i));
+                    self.call_sites.push((self.out.len(), i, fi));
                 }
                 if let Some(d) = dst {
                     self.write(*d, 0);
                 }
             }
-            LInstr::TailCall { target, args } => {
+            RInstr::TailCall { target, args } => {
                 let tgt = match target {
                     CallTarget::Reg(v) => {
                         let r = self.fetch(*v, S3);
@@ -737,13 +712,13 @@ impl<'a> Emit<'a> {
                     }
                 }
             }
-            LInstr::CallRt {
+            RInstr::CallRt {
                 f,
                 args,
                 dst,
                 alloc,
-                sp,
             } => {
+                let sp = self.f.safe_point(i);
                 self.arg_moves(args);
                 let at = self.push(Instr::RtCall(*f));
                 if *alloc {
@@ -759,19 +734,19 @@ impl<'a> Emit<'a> {
                             point.regs.push((ai as u8, rep));
                         }
                     }
-                    self.gc_points.push((at, sp.rtl_at, point));
+                    self.gc_points.push((at, i, point));
                 }
                 if !self.tagged {
                     // Runtime calls that can walk the stack behave like
                     // calls for the table (harmless otherwise).
                     let fi = self.call_frame_info(sp);
-                    self.call_sites.push((self.out.len(), sp.rtl_at, fi));
+                    self.call_sites.push((self.out.len(), i, fi));
                 }
                 if let Some(d) = dst {
                     self.write(*d, 0);
                 }
             }
-            LInstr::Ret(v) => {
+            RInstr::Ret(v) => {
                 if let Some(v) = v {
                     let r = self.fetch(*v, TMP);
                     if r != 0 {
@@ -784,12 +759,7 @@ impl<'a> Emit<'a> {
                 self.epilogue();
                 self.push(Instr::Jmp(regs::RA));
             }
-            LInstr::Alloc {
-                dst,
-                head,
-                fields,
-                sp,
-            } => {
+            RInstr::Alloc { dst, head, fields } => {
                 let size = 8 * (1 + fields.len() as i64);
                 self.push(Instr::Alu {
                     op: Alu::Add,
@@ -809,7 +779,7 @@ impl<'a> Emit<'a> {
                     src: Op::I(size),
                 });
                 let gc_at = self.push(Instr::RtCall(RtFn::Gc));
-                self.gc_point_here(gc_at, sp);
+                self.gc_point_here(gc_at, i, self.f.safe_point(i));
                 let ok = self.out.len();
                 self.out[b] = Instr::Bnez(TMP, ok as u32);
                 // Header.
@@ -838,7 +808,7 @@ impl<'a> Emit<'a> {
                 // Record the allocation's typed-heap shape at the
                 // header-store index (where the verifier keys it).
                 if !self.tagged {
-                    if let Some(s) = alloc_shape(self.f, head, fields) {
+                    if let Some(s) = alloc_shape(self.f.rtl, head, fields) {
                         self.alloc_shapes.push((hdr_at, s));
                     }
                 }
@@ -872,12 +842,11 @@ impl<'a> Emit<'a> {
                     self.exn_allocs.push(bump);
                 }
             }
-            LInstr::AllocArr {
+            RInstr::AllocArr {
                 dst,
                 kind,
                 len,
                 init,
-                sp,
             } => {
                 // TMP = size in bytes = (len << 3) + 8.
                 let lr = match self.fetch_op(len, TMP) {
@@ -916,7 +885,7 @@ impl<'a> Emit<'a> {
                 });
                 let b = self.push(Instr::Bnez(TMP2, 0));
                 let gc_at = self.push(Instr::RtCall(RtFn::Gc));
-                self.gc_point_here(gc_at, sp);
+                self.gc_point_here(gc_at, i, self.f.safe_point(i));
                 let ok = self.out.len();
                 self.out[b] = Instr::Bnez(TMP2, ok as u32);
                 // Header: kind | (size - 8), since len<<3 occupies the
@@ -991,7 +960,7 @@ impl<'a> Emit<'a> {
                     src: Op::R(TMP),
                 });
             }
-            LInstr::PushHandler { lbl, idx } => {
+            RInstr::PushHandler { lbl, idx } => {
                 let base = self.handler_off(*idx) as i32;
                 self.push(Instr::St {
                     src: regs::EXN,
@@ -1017,17 +986,17 @@ impl<'a> Emit<'a> {
                     b: Op::I(base as i64),
                 });
             }
-            LInstr::PopHandler { .. } => {
+            RInstr::PopHandler { .. } => {
                 self.push(Instr::Ld {
                     dst: regs::EXN,
                     base: regs::EXN,
                     off: 0,
                 });
             }
-            LInstr::HandlerEntry { dst } => {
+            RInstr::HandlerEntry { dst } => {
                 self.write(*dst, 0);
             }
-            LInstr::Raise { packet } => {
+            RInstr::Raise { packet } => {
                 let p = self.fetch(*packet, TMP);
                 if p != 0 {
                     self.push(Instr::Mov {
@@ -1056,7 +1025,7 @@ impl<'a> Emit<'a> {
                 });
                 self.push(Instr::Jmp(TMP));
             }
-            LInstr::TrapIf { cond, trap } => {
+            RInstr::TrapIf { cond, trap } => {
                 let r = self.fetch(*cond, TMP);
                 let at = self.push(Instr::Bnez(r, 0));
                 self.relocs.push((at, Reloc::TrapTarget(*trap)));

@@ -37,19 +37,15 @@
 //! same stream.
 
 use std::collections::HashMap;
-use til_lir::{
-    alloc_shape, ArrKind, CallTarget, FrameLayout, HeadSpec, LInstr, Lbl, LirFun, Loc, ROp,
-    RegFile, SafePoint, Target, TargetCtx, VReg,
-};
+use til_lir::{alloc_shape, FrameLayout, LirFun, Loc, RegFile, SafePoint};
 use til_runtime::{FieldRep, GcPoint};
-use til_rtl::{RtlProgram, StaticObj};
+use til_rtl::{ArrKind, CallTarget, HeadSpec, Lbl, RInstr, ROp, RtlProgram, StaticObj, VReg};
 use til_vm::{header, Alu, Falu, RtFn, Trap};
 
 /// The x86-64 register file: nine colorable registers (all of them
 /// argument registers in our internal convention), the rest of the
 /// ISA reserved for scratch, the heap, and the handler chain.
 pub const X64_REG_FILE: RegFile = RegFile {
-    name: "x64",
     allocatable: 9,
     num_args: 9,
 };
@@ -322,6 +318,13 @@ fn mangle(label: &str) -> String {
     s
 }
 
+/// The assembly symbol of a function label: its entry in the module's
+/// symbol map, else the plain mangling.
+fn symbol_of(symbols: &HashMap<String, String>, code: Option<til_common::Var>) -> String {
+    let label = crate::link::fun_label(code);
+    symbols.get(&label).cloned().unwrap_or_else(|| mangle(&label))
+}
+
 /// The x86-64 frame geometry (TIL mode): outgoing args at the bottom,
 /// then spill slots, handlers, padding; RA pushed by `call` above.
 struct X64Frame {
@@ -343,90 +346,79 @@ impl FrameLayout for X64Frame {
     }
 }
 
-/// The textual x86-64 code generator.
-pub struct X64Target {
-    /// Function-label → mangled-symbol map for call targets.
-    pub symbols: HashMap<String, String>,
-    /// Index of this function within the module (local-label prefix).
-    pub fun_index: usize,
-}
-
-impl Target for X64Target {
-    type Output = X64Fun;
-
-    fn name(&self) -> &'static str {
-        "x64"
+/// Selects x86-64 for one function. `symbols` maps every function
+/// label of the module to its assembly symbol; `fun_index` (the
+/// function's position in the module) prefixes its local labels.
+pub fn select_fun(
+    f: &LirFun,
+    tagged: bool,
+    symbols: &HashMap<String, String>,
+    fun_index: usize,
+) -> X64Fun {
+    let ncalls = f
+        .rtl
+        .instrs
+        .iter()
+        .filter(|i| matches!(i, RInstr::Call { .. } | RInstr::CallRt { .. }))
+        .count();
+    // Outgoing stack-arg words: the widest call's overflow beyond
+    // the nine register arguments.
+    let out_words = f
+        .rtl
+        .instrs
+        .iter()
+        .map(|i| match i {
+            RInstr::Call { args, .. } | RInstr::TailCall { args, .. } => {
+                args.len().saturating_sub(REG.len())
+            }
+            _ => 0,
+        })
+        .max()
+        .unwrap_or(0) as u32;
+    let nhandlers = f.rtl.nhandlers;
+    let has_frame = ncalls > 0 || f.assign.nslots > 0 || nhandlers > 0 || out_words > 0;
+    let mut words = out_words + f.assign.nslots + 3 * nhandlers;
+    // Keep rsp 16-aligned at call boundaries: frame + pushed RA
+    // must be a multiple of 16, so the frame itself is odd words.
+    if has_frame && words.is_multiple_of(2) {
+        words += 1;
     }
-
-    fn reg_file(&self) -> &'static RegFile {
-        &X64_REG_FILE
+    let symbol = symbol_of(symbols, f.rtl.name);
+    let mut e = Sel {
+        f,
+        symbols,
+        fun_index,
+        tagged,
+        frame_bytes: 8 * words,
+        out_bytes: 8 * out_words,
+        has_frame,
+        symbol: symbol.clone(),
+        lines: Vec::new(),
+        ops: Vec::new(),
+        maps: Vec::new(),
+        shapes: Vec::new(),
+        tmp_label: 0,
+    };
+    e.lines.push(format!("{symbol}:"));
+    e.prologue();
+    for (i, ins) in f.rtl.instrs.iter().enumerate() {
+        e.instr(i, ins);
     }
-
-    fn select_fun(&self, f: &LirFun, ctx: &TargetCtx) -> X64Fun {
-        let ncalls = f
-            .instrs
-            .iter()
-            .filter(|i| matches!(i, LInstr::Call { .. } | LInstr::CallRt { .. }))
-            .count();
-        // Outgoing stack-arg words: the widest call's overflow beyond
-        // the nine register arguments.
-        let out_words = f
-            .instrs
-            .iter()
-            .map(|i| match i {
-                LInstr::Call { args, .. } | LInstr::TailCall { args, .. } => {
-                    args.len().saturating_sub(REG.len())
-                }
-                _ => 0,
-            })
-            .max()
-            .unwrap_or(0) as u32;
-        let has_frame = ncalls > 0 || f.assign.nslots > 0 || f.nhandlers > 0 || out_words > 0;
-        let mut words = out_words + f.assign.nslots + 3 * f.nhandlers;
-        // Keep rsp 16-aligned at call boundaries: frame + pushed RA
-        // must be a multiple of 16, so the frame itself is odd words.
-        if has_frame && words.is_multiple_of(2) {
-            words += 1;
-        }
-        let symbol = self
-            .symbols
-            .get(&crate::link::fun_label(f.name))
-            .cloned()
-            .unwrap_or_else(|| mangle(&crate::link::fun_label(f.name)));
-        let mut e = Sel {
-            f,
-            target: self,
-            tagged: ctx.tagged,
-            frame_bytes: 8 * words,
-            out_bytes: 8 * out_words,
-            has_frame,
-            symbol: symbol.clone(),
-            lines: Vec::new(),
-            ops: Vec::new(),
-            maps: Vec::new(),
-            shapes: Vec::new(),
-            tmp_label: 0,
-        };
-        e.lines.push(format!("{symbol}:"));
-        e.prologue();
-        for ins in &f.instrs {
-            e.instr(ins);
-        }
-        X64Fun {
-            symbol,
-            lines: e.lines,
-            ops: e.ops,
-            maps: e.maps,
-            shapes: e.shapes,
-            frame_bytes: 8 * words,
-            nparams: f.params.len(),
-        }
+    X64Fun {
+        symbol,
+        lines: e.lines,
+        ops: e.ops,
+        maps: e.maps,
+        shapes: e.shapes,
+        frame_bytes: 8 * words,
+        nparams: f.rtl.params.len(),
     }
 }
 
 struct Sel<'a> {
-    f: &'a LirFun,
-    target: &'a X64Target,
+    f: &'a LirFun<'a>,
+    symbols: &'a HashMap<String, String>,
+    fun_index: usize,
     tagged: bool,
     frame_bytes: u32,
     out_bytes: u32,
@@ -470,11 +462,11 @@ impl<'a> Sel<'a> {
 
     fn fresh_label(&mut self, stem: &str) -> String {
         self.tmp_label += 1;
-        format!(".L{}_{}{}", self.target.fun_index, stem, self.tmp_label)
+        format!(".L{}_{}{}", self.fun_index, stem, self.tmp_label)
     }
 
     fn lbl(&self, l: Lbl) -> String {
-        format!(".L{}_b{}", self.target.fun_index, l)
+        format!(".L{}_b{}", self.fun_index, l)
     }
 
     // ------------------------------------------------------ locations
@@ -551,11 +543,7 @@ impl<'a> Sel<'a> {
     /// The mangled symbol of a function label (shared by the call and
     /// `LeaCode` selections and the shape table).
     fn sym_of(&self, code: til_common::Var) -> String {
-        self.target
-            .symbols
-            .get(&crate::link::fun_label(Some(code)))
-            .cloned()
-            .unwrap_or_else(|| mangle(&crate::link::fun_label(Some(code))))
+        symbol_of(self.symbols, Some(code))
     }
 
     /// Interns one derived allocation shape — children first, so a
@@ -595,7 +583,7 @@ impl<'a> Sel<'a> {
         // arrive in the argument registers (a parallel move, they may
         // permute); params 9+ arrive on the stack above the frame.
         let mut reg_moves: Vec<(u8, u8)> = Vec::new(); // (dst color, src color)
-        for (i, p) in self.f.params.iter().enumerate() {
+        for (i, p) in self.f.rtl.params.iter().enumerate() {
             if i < REG.len() {
                 match self.loc(*p) {
                     Loc::Reg(c) => reg_moves.push((c, i as u8)),
@@ -716,7 +704,7 @@ impl<'a> Sel<'a> {
     fn after_call(&mut self, map: usize) {
         let k = map;
         let sm = map_label(&self.symbol, k);
-        let ret = format!(".Lret_{}_{k}", self.target.fun_index);
+        let ret = format!(".Lret_{}_{k}", self.fun_index);
         self.local(ret);
         let m = &self.maps[k];
         self.lines.push(format!(
@@ -727,9 +715,10 @@ impl<'a> Sel<'a> {
 
     // ----------------------------------------------------- selection
 
-    fn instr(&mut self, ins: &LInstr) {
+    /// Selects RTL instruction `i`.
+    fn instr(&mut self, i: usize, ins: &RInstr) {
         match ins {
-            LInstr::Mov { dst, src } => match src {
+            RInstr::Mov { dst, src } => match src {
                 ROp::I(i) => {
                     let d = match self.loc(*dst) {
                         Loc::Reg(c) => REG[c as usize],
@@ -743,8 +732,8 @@ impl<'a> Sel<'a> {
                     self.write(*dst, s);
                 }
             },
-            LInstr::Alu { op, dst, a, b } => self.alu(*op, *dst, a, b),
-            LInstr::Falu { op, dst, a, b } => {
+            RInstr::Alu { op, dst, a, b } => self.alu(*op, *dst, a, b),
+            RInstr::Falu { op, dst, a, b } => {
                 let ra = self.fetch(*a, TMP);
                 self.ins(format!("movq %{ra}, %xmm0"), &[]);
                 let rb = self.fetch(*b, TMP2);
@@ -771,13 +760,13 @@ impl<'a> Sel<'a> {
                 self.ins(format!("movq %xmm0, %{TMP}"), &[TMP]);
                 self.write(*dst, TMP);
             }
-            LInstr::Itof { dst, a } => {
+            RInstr::Itof { dst, a } => {
                 let ra = self.fetch(*a, TMP);
                 self.ins(format!("cvtsi2sdq %{ra}, %xmm0"), &[]);
                 self.ins(format!("movq %xmm0, %{TMP}"), &[TMP]);
                 self.write(*dst, TMP);
             }
-            LInstr::Ld { dst, base, off } => {
+            RInstr::Ld { dst, base, off } => {
                 let rb = self.fetch(*base, TMP);
                 let d = match self.loc(*dst) {
                     Loc::Reg(c) => REG[c as usize],
@@ -793,7 +782,7 @@ impl<'a> Sel<'a> {
                 );
                 self.write(*dst, d);
             }
-            LInstr::St { src, base, off } => {
+            RInstr::St { src, base, off } => {
                 let rs = self.fetch(*src, TMP);
                 let rb = self.fetch(*base, TMP2);
                 self.op(
@@ -805,17 +794,17 @@ impl<'a> Sel<'a> {
                     },
                 );
             }
-            LInstr::LdGlobal { dst, gid } => {
+            RInstr::LdGlobal { dst, gid } => {
                 let off = 8 * gid;
                 self.ins(format!("movq til_globals+{off}(%rip), %{TMP}"), &[TMP]);
                 self.write(*dst, TMP);
             }
-            LInstr::StGlobal { src, gid } => {
+            RInstr::StGlobal { src, gid } => {
                 let rs = self.fetch(*src, TMP);
                 let off = 8 * gid;
                 self.ins(format!("movq %{rs}, til_globals+{off}(%rip)"), &[]);
             }
-            LInstr::LeaCode { dst, code } => {
+            RInstr::LeaCode { dst, code } => {
                 let sym = self.sym_of(*code);
                 // Odd-encoded code value: 2*addr + 1. The second leaq
                 // completes the encoding, so that is where the mirror
@@ -830,36 +819,31 @@ impl<'a> Sel<'a> {
                 );
                 self.write(*dst, TMP);
             }
-            LInstr::LeaStatic { dst, obj } => {
+            RInstr::LeaStatic { dst, obj } => {
                 self.ins(format!("leaq til_static_{obj}(%rip), %{TMP}"), &[TMP]);
                 self.write(*dst, TMP);
             }
-            LInstr::Label(l) => {
+            RInstr::Label(l) => {
                 let name = self.lbl(*l);
                 self.local(name);
             }
-            LInstr::Br(l) => {
+            RInstr::Br(l) => {
                 let t = self.lbl(*l);
                 self.op(format!("jmp {t}"), X64Op::Jmp(t));
             }
-            LInstr::Beqz(v, l) => {
+            RInstr::Beqz(v, l) => {
                 let r = self.fetch(*v, TMP);
                 self.ins(format!("testq %{r}, %{r}"), &[]);
                 let t = self.lbl(*l);
                 self.op(format!("jz {t}"), X64Op::Jcc(t));
             }
-            LInstr::Bnez(v, l) => {
+            RInstr::Bnez(v, l) => {
                 let r = self.fetch(*v, TMP);
                 self.ins(format!("testq %{r}, %{r}"), &[]);
                 let t = self.lbl(*l);
                 self.op(format!("jnz {t}"), X64Op::Jcc(t));
             }
-            LInstr::Call {
-                target,
-                args,
-                dst,
-                sp,
-            } => {
+            RInstr::Call { target, args, dst } => {
                 let sym = match target {
                     CallTarget::Code(c) => Some(self.sym_of(*c)),
                     CallTarget::Reg(v) => {
@@ -885,7 +869,7 @@ impl<'a> Sel<'a> {
                     }
                 };
                 self.arg_moves(args);
-                let map = self.call_map(sp);
+                let map = self.call_map(self.f.safe_point(i));
                 let nargs = args.len().min(REG.len());
                 match &sym {
                     Some(s) => self.op(
@@ -910,7 +894,7 @@ impl<'a> Sel<'a> {
                     self.write(*d, TMP);
                 }
             }
-            LInstr::TailCall { target, args } => {
+            RInstr::TailCall { target, args } => {
                 let sym = match target {
                     CallTarget::Code(c) => Some(self.sym_of(*c)),
                     CallTarget::Reg(v) => {
@@ -940,14 +924,14 @@ impl<'a> Sel<'a> {
                     None => self.op(format!("jmp *%{TGT}"), X64Op::JmpReg(TGT.into())),
                 }
             }
-            LInstr::CallRt {
+            RInstr::CallRt {
                 f,
                 args,
                 dst,
                 alloc,
-                sp,
             } => {
                 self.arg_moves(args);
+                let sp = self.f.safe_point(i);
                 let map = if *alloc {
                     self.gc_map(sp)
                 } else {
@@ -967,7 +951,7 @@ impl<'a> Sel<'a> {
                     self.write(*d, TMP);
                 }
             }
-            LInstr::Ret(v) => {
+            RInstr::Ret(v) => {
                 if let Some(v) = v {
                     let r = self.fetch(*v, TMP);
                     if r != TMP {
@@ -977,12 +961,7 @@ impl<'a> Sel<'a> {
                 self.epilogue();
                 self.op("ret".into(), X64Op::Ret);
             }
-            LInstr::Alloc {
-                dst,
-                head,
-                fields,
-                sp,
-            } => {
+            RInstr::Alloc { dst, head, fields } => {
                 let size = 8 * (1 + fields.len() as i64);
                 self.ins(format!("leaq {size}(%{HP}), %{TMP}"), &[TMP]);
                 self.ins(format!("cmpq %{HL}, %{TMP}"), &[]);
@@ -991,7 +970,7 @@ impl<'a> Sel<'a> {
                 // GC: requested bytes in rax; the stub preserves all
                 // registers and reloads r15/r14.
                 self.ins(format!("movq ${size}, %{TMP}"), &[TMP]);
-                let map = self.gc_map(sp);
+                let map = self.gc_map(self.f.safe_point(i));
                 self.op(
                     "call til_rt_gc".into(),
                     X64Op::Call {
@@ -1009,7 +988,7 @@ impl<'a> Sel<'a> {
                 let shape = if self.tagged {
                     None
                 } else {
-                    alloc_shape(self.f, head, fields).map(|s| self.intern_shape(&s))
+                    alloc_shape(self.f.rtl, head, fields).map(|s| self.intern_shape(&s))
                 };
                 match head {
                     HeadSpec::Static(h) => {
@@ -1048,12 +1027,11 @@ impl<'a> Sel<'a> {
                 self.write(*dst, HP);
                 self.ins(format!("addq ${size}, %{HP}"), &[HP]);
             }
-            LInstr::AllocArr {
+            RInstr::AllocArr {
                 dst,
                 kind,
                 len,
                 init,
-                sp,
             } => {
                 // rax = byte size = (len << 3) + 8.
                 let lr = self.fetch_op(len, TMP);
@@ -1066,7 +1044,7 @@ impl<'a> Sel<'a> {
                 self.ins(format!("cmpq %{HL}, %{TMP2}"), &[]);
                 let ok = self.fresh_label("aar");
                 self.op(format!("jbe {ok}"), X64Op::Jcc(ok.clone()));
-                let map = self.gc_map(sp);
+                let map = self.gc_map(self.f.safe_point(i));
                 self.op(
                     "call til_rt_gc".into(),
                     X64Op::Call {
@@ -1105,7 +1083,7 @@ impl<'a> Sel<'a> {
                 self.write(*dst, HP);
                 self.ins(format!("movq %{TMP}, %{HP}"), &[HP]);
             }
-            LInstr::PushHandler { lbl, idx } => {
+            RInstr::PushHandler { lbl, idx } => {
                 let base = self.out_bytes as i64
                     + 8 * (self.f.assign.nslots as i64 + 3 * *idx as i64);
                 self.ins(format!("movq %{EXN}, {base}(%rsp)"), &[]);
@@ -1115,14 +1093,14 @@ impl<'a> Sel<'a> {
                 self.ins(format!("movq %rsp, {}(%rsp)", base + 16), &[]);
                 self.ins(format!("leaq {base}(%rsp), %{EXN}"), &[EXN]);
             }
-            LInstr::PopHandler { .. } => {
+            RInstr::PopHandler { .. } => {
                 self.ins(format!("movq 0(%{EXN}), %{EXN}"), &[EXN]);
             }
-            LInstr::HandlerEntry { dst } => {
+            RInstr::HandlerEntry { dst } => {
                 // The packet arrives in rax (the raise moved it there).
                 self.write(*dst, TMP);
             }
-            LInstr::Raise { packet } => {
+            RInstr::Raise { packet } => {
                 let p = self.fetch(*packet, TMP);
                 if p != TMP {
                     self.ins(format!("movq %{p}, %{TMP}"), &[TMP]);
@@ -1135,7 +1113,7 @@ impl<'a> Sel<'a> {
                 self.ins(format!("movq %{TMP2}, %rsp"), &["rsp"]);
                 self.op(format!("jmp *%{TGT}"), X64Op::JmpReg(TGT.into()));
             }
-            LInstr::TrapIf { cond, trap } => {
+            RInstr::TrapIf { cond, trap } => {
                 let r = self.fetch(*cond, TMP);
                 self.ins(format!("testq %{r}, %{r}"), &[]);
                 let sym = trap_symbol(*trap);
@@ -1279,8 +1257,8 @@ fn trap_symbol(t: Trap) -> &'static str {
 }
 
 /// Emits a whole RTL program as textual x86-64: allocates each
-/// function against the x64 register file, lowers to LIR, selects,
-/// and renders the statics.
+/// function against the x64 register file, attaches its side tables,
+/// selects, and renders the statics.
 pub fn emit_x64(p: &RtlProgram) -> X64Module {
     // Stable label → symbol map, entry first; collisions (possible
     // after mangling) disambiguated by function index.
@@ -1302,18 +1280,8 @@ pub fn emit_x64(p: &RtlProgram) -> X64Module {
         .enumerate()
         .map(|(i, f)| {
             let al = crate::regalloc::allocate_for(f, &X64_REG_FILE);
-            let lir = crate::emit::lower_fun(f, &al, p.tagged);
-            let t = X64Target {
-                symbols: symbols.clone(),
-                fun_index: i,
-            };
-            t.select_fun(
-                &lir,
-                &TargetCtx {
-                    tagged: p.tagged,
-                    statics_addr: &[],
-                },
-            )
+            let lir = crate::emit::lir_fun(f, &al, p.tagged);
+            select_fun(&lir, p.tagged, &symbols, i)
         })
         .collect();
     let statics = p

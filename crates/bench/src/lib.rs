@@ -563,22 +563,6 @@ pub mod export {
     }
 }
 
-/// Minimal bench-harness primitive: runs `f` once to warm up, then
-/// `iters` timed iterations, and prints the median per-iteration wall
-/// time. Returns the median in seconds (for harnesses that aggregate).
-pub fn time_case<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) -> f64 {
-    std::hint::black_box(f());
-    let mut samples = Vec::with_capacity(iters as usize);
-    for _ in 0..iters {
-        let start = std::time::Instant::now();
-        std::hint::black_box(f());
-        samples.push(start.elapsed().as_secs_f64());
-    }
-    let med = median(&samples);
-    println!("{name:>24}: median {:>12.3} ms over {iters} iters", med * 1e3);
-    med
-}
-
 /// Geometric mean of positive ratios.
 pub fn geomean(xs: &[f64]) -> f64 {
     if xs.is_empty() {

@@ -966,10 +966,10 @@ impl Compiler {
                 }),
             || til_backend::link(&rtl, &link_opts, Some(&tracer)),
         )?;
-        // The second target: textual x86-64 from the same allocated
-        // LIR, with its own structural validation and per-target mcv
-        // rules. Runs after the link so a VM-side verifier failure
-        // wins, and never perturbs the linked image.
+        // The second target: textual x86-64 from the same RTL and
+        // safe-point data, with its own structural validation and
+        // per-target mcv rules. Runs after the link so a VM-side
+        // verifier failure wins, and never perturbs the linked image.
         let asm = if self.opts.emit_asm {
             Some(pl.run(
                 Phase::new("emit-x64")

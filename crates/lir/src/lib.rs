@@ -1,42 +1,38 @@
-//! **LIR** — the target-independent low-level IR sitting between RTL
-//! and machine code, plus the [`Target`] abstraction the backend's
-//! pluggable code generators implement.
+//! **LIR** — the target-independent side tables a code generator
+//! reads next to an allocated RTL function, plus the GC-descriptor and
+//! heap-shape derivations every target shares.
 //!
-//! RTL is lowered (after register allocation) into [`LirFun`]: the
-//! same ALPHA-style operation vocabulary, still over virtual
-//! registers, but with everything a code generator needs *resolved
-//! and attached* rather than recomputed per target:
+//! There is no second instruction set: a target selects machine code
+//! straight from [`til_rtl::RInstr`], as the paper's backend does, and
+//! looks up what allocation and liveness resolved in a [`LirFun`]:
 //!
 //! * the register/slot [`Assignment`] the allocator produced;
-//! * a [`SafePoint`] embedded on every instruction that can reach a
+//! * a [`SafePoint`] for every RTL instruction that can reach a
 //!   collection or a stack walk (calls, runtime-service calls,
-//!   allocations), carrying the sorted live-in/live-out virtual
-//!   register sets the GC tables are derived from;
+//!   allocations), keyed by its instruction index and carrying the
+//!   sorted live-in/live-out virtual-register sets the GC tables are
+//!   derived from;
 //! * the calling-convention signature ([`FunSig`]) the machine-code
-//!   verifier checks against;
-//! * handler install/uninstall as first-class ops ([`LInstr::PushHandler`],
-//!   [`LInstr::PopHandler`]), so every target implements the
-//!   exception-chain discipline from the same IR.
+//!   verifier checks against.
 //!
-//! A [`Target`] supplies the pieces that genuinely differ per machine:
+//! A target supplies the pieces that genuinely differ per machine:
 //! the [`RegFile`] the allocator colors against, instruction
-//! selection over [`LInstr`], the frame layout ([`FrameLayout`]) that
-//! positions spill slots and the return address, and the encoding of
-//! the per-site GC tables. The table *content* — which slots hold
-//! live traced pointers at a safe point, and which listed slots are
-//! provably dead there — is target-independent and derived here
-//! ([`frame_info`], [`call_frame_info`]) from the safe-point data, so
-//! a new target cannot get the paper's §2.3 invariants wrong by
-//! re-deriving them.
+//! selection, the frame layout ([`FrameLayout`]) that positions spill
+//! slots and the return address, and the encoding of the per-site GC
+//! tables. The table *content* — which slots hold live traced pointers
+//! at a safe point, and which listed slots are provably dead there —
+//! is target-independent and derived here ([`frame_info`],
+//! [`call_frame_info`]) from the safe-point data, so a new target
+//! cannot get the paper's §2.3 invariants wrong by re-deriving them.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::HashMap;
 use til_common::Var;
+use til_rtl::analysis::defs;
+use til_rtl::{HeadSpec, RInstr, ROp, RRep, RtlFun, VReg};
 use til_runtime::{FieldRep, FrameInfo, LocRep, RepLoc};
-use til_vm::{Alu, Falu, RtFn, Trap};
-
-pub use til_rtl::{ArrKind, CallTarget, HeadSpec, Lbl, ROp, RRep, VReg};
+use til_vm::Trap;
 
 /// Machine-level representation class of a calling-convention value,
 /// derived from the RTL rep annotations and threaded through the
@@ -81,10 +77,10 @@ pub fn mrep_of(rep: Option<&RRep>, tagged: bool) -> MRep {
 /// result class is the join over every `Ret(Some _)` (functions that
 /// diverge or return unit get `Unknown`, which the verifier treats as
 /// unconstrained).
-pub fn fun_sig(f: &til_rtl::RtlFun, tagged: bool) -> FunSig {
+pub fn fun_sig(f: &RtlFun, tagged: bool) -> FunSig {
     let mut ret = None;
     for ins in &f.instrs {
-        if let til_rtl::RInstr::Ret(Some(v)) = ins {
+        if let RInstr::Ret(Some(v)) = ins {
             let m = mrep_of(f.reps.get(v), tagged);
             ret = Some(match ret {
                 None => m,
@@ -150,8 +146,6 @@ impl Assignment {
 /// by the (target-independent) register allocator.
 #[derive(Clone, Copy, Debug)]
 pub struct RegFile {
-    /// Target name (diagnostics only).
-    pub name: &'static str,
     /// Number of colorable registers; the allocator hands out colors
     /// `0..allocatable` and spills the rest to frame slots.
     pub allocatable: usize,
@@ -166,117 +160,37 @@ pub struct RegFile {
 /// target derives byte-identical tables from the same data.
 #[derive(Clone, Debug)]
 pub struct SafePoint {
-    /// Index of the originating RTL instruction (the table
-    /// cross-checker recomputes liveness from it).
-    pub rtl_at: usize,
     /// Vregs live into the instruction, sorted.
     pub live_in: Vec<VReg>,
     /// Vregs live out of the instruction, sorted.
     pub live_out: Vec<VReg>,
 }
 
-/// One LIR instruction: the RTL operation vocabulary with safe-point
-/// liveness attached where a target must emit GC tables.
+/// One allocated function as a target sees it: the RTL body itself,
+/// with the allocator's assignment, the safe points and the signature
+/// alongside.
 #[derive(Clone, Debug)]
-pub enum LInstr {
-    /// Register/immediate move.
-    Mov { dst: VReg, src: ROp },
-    /// ALU operation.
-    Alu { op: Alu, dst: VReg, a: ROp, b: ROp },
-    /// Float operation on raw bits.
-    Falu { op: Falu, dst: VReg, a: VReg, b: VReg },
-    /// Int → float.
-    Itof { dst: VReg, a: VReg },
-    /// Load word.
-    Ld { dst: VReg, base: VReg, off: i32 },
-    /// Store word.
-    St { src: VReg, base: VReg, off: i32 },
-    /// Load a global slot.
-    LdGlobal { dst: VReg, gid: u32 },
-    /// Store a global slot.
-    StGlobal { src: VReg, gid: u32 },
-    /// Load the odd-encoded address of a code block.
-    LeaCode { dst: VReg, code: Var },
-    /// Load the address of a static object.
-    LeaStatic { dst: VReg, obj: u32 },
-    /// Local label.
-    Label(Lbl),
-    /// Unconditional branch.
-    Br(Lbl),
-    /// Branch if zero.
-    Beqz(VReg, Lbl),
-    /// Branch if nonzero.
-    Bnez(VReg, Lbl),
-    /// Non-tail call; a safe point (the callee may collect).
-    Call {
-        target: CallTarget,
-        args: Vec<VReg>,
-        dst: Option<VReg>,
-        sp: SafePoint,
-    },
-    /// Tail call: pops the frame and jumps. Not a safe point (nothing
-    /// of this frame survives it).
-    TailCall { target: CallTarget, args: Vec<VReg> },
-    /// Runtime-service call; a safe point (allocating services
-    /// collect, stack-walking services parse the frame).
-    CallRt {
-        f: RtFn,
-        args: Vec<VReg>,
-        dst: Option<VReg>,
-        /// Whether the service may allocate (⇒ emit a GC point).
-        alloc: bool,
-        sp: SafePoint,
-    },
-    /// Return.
-    Ret(Option<VReg>),
-    /// Record/closure/box allocation with GC limit check; a safe
-    /// point.
-    Alloc {
-        dst: VReg,
-        head: HeadSpec,
-        fields: Vec<ROp>,
-        sp: SafePoint,
-    },
-    /// Array allocation (dynamic length) with GC limit check; a safe
-    /// point.
-    AllocArr {
-        dst: VReg,
-        kind: ArrKind,
-        len: ROp,
-        init: VReg,
-        sp: SafePoint,
-    },
-    /// Install an exception handler (frame handler slot `idx`).
-    PushHandler { lbl: Lbl, idx: u32 },
-    /// Remove the innermost handler.
-    PopHandler { idx: u32 },
-    /// Handler entry point: receives the packet from the return/packet
-    /// register.
-    HandlerEntry { dst: VReg },
-    /// Raise: unwind to the innermost handler.
-    Raise { packet: VReg },
-    /// Trap if the register is nonzero.
-    TrapIf { cond: VReg, trap: Trap },
-}
-
-/// One function in LIR: the lowered body plus everything instruction
-/// selection needs (assignment, rep annotations, signature).
-#[derive(Clone, Debug)]
-pub struct LirFun {
-    /// Name (the code label; `None` for the program entry).
-    pub name: Option<Var>,
-    /// Parameter vregs, in calling-convention order.
-    pub params: Vec<VReg>,
-    /// Representation annotations (from RTL).
-    pub reps: HashMap<VReg, RRep>,
-    /// Maximum handler nesting depth.
-    pub nhandlers: u32,
-    /// Body.
-    pub instrs: Vec<LInstr>,
+pub struct LirFun<'a> {
+    /// The function body, selected from directly.
+    pub rtl: &'a RtlFun,
     /// Register/slot assignment.
-    pub assign: Assignment,
+    pub assign: &'a Assignment,
+    /// Safe points keyed by RTL instruction index, in index order: one
+    /// per `Call`, `CallRt`, `Alloc` and `AllocArr`.
+    pub safe_points: Vec<(usize, SafePoint)>,
     /// Calling-convention signature.
     pub sig: FunSig,
+}
+
+impl LirFun<'_> {
+    /// The safe point of RTL instruction `i`; every call, runtime call
+    /// and allocation has one, so a miss is a lowering bug.
+    pub fn safe_point(&self, i: usize) -> &SafePoint {
+        match self.safe_points.binary_search_by_key(&i, |(at, _)| *at) {
+            Ok(k) => &self.safe_points[k].1,
+            Err(_) => unreachable!("RTL instruction {i} is not a safe point"),
+        }
+    }
 }
 
 /// Per-target frame geometry: where the return address and the spill
@@ -292,33 +206,6 @@ pub trait FrameLayout {
     fn slot_byte_off(&self, slot: u32) -> u32;
 }
 
-/// Context shared by every function of a compilation unit during
-/// instruction selection.
-pub struct TargetCtx<'a> {
-    /// Universal tagged representation (baseline) or nearly tag-free.
-    pub tagged: bool,
-    /// Resolved address of every static object.
-    pub statics_addr: &'a [u64],
-}
-
-/// A pluggable code generator: a register file for the allocator and
-/// instruction selection from LIR to the target's output form.
-pub trait Target {
-    /// What selecting one function produces (machine code plus
-    /// target-encoded tables, in whatever form the target's linker
-    /// consumes).
-    type Output;
-
-    /// Target name (diagnostics, trace spans).
-    fn name(&self) -> &'static str;
-
-    /// The register file the allocator colors against for this target.
-    fn reg_file(&self) -> &'static RegFile;
-
-    /// Selects instructions for one function.
-    fn select_fun(&self, f: &LirFun, ctx: &TargetCtx) -> Self::Output;
-}
-
 // ------------------------------------------------- GC-table derivation
 
 /// The GC descriptor of `v` when observed *from a stable location*
@@ -328,7 +215,7 @@ pub trait Target {
 /// pointer filtering skips non-pointers). `None` for values the
 /// collector ignores.
 pub fn loc_rep_slotted(f: &LirFun, layout: &dyn FrameLayout, v: VReg) -> Option<LocRep> {
-    match f.reps.get(&v) {
+    match f.rtl.reps.get(&v) {
         Some(RRep::Trace) => Some(LocRep::Trace),
         Some(RRep::Computed(rv)) => match f.assign.loc(*rv) {
             Loc::Slot(s) => Some(LocRep::Computed(RepLoc::Slot(layout.slot_byte_off(s)))),
@@ -342,7 +229,7 @@ pub fn loc_rep_slotted(f: &LirFun, layout: &dyn FrameLayout, v: VReg) -> Option<
 /// point (registers are stable across an in-function collection, so a
 /// register-resident companion may be named directly).
 pub fn loc_rep_reg(f: &LirFun, layout: &dyn FrameLayout, v: VReg) -> Option<LocRep> {
-    match f.reps.get(&v) {
+    match f.rtl.reps.get(&v) {
         Some(RRep::Trace) => Some(LocRep::Trace),
         Some(RRep::Computed(rv)) => {
             let loc = match f.assign.loc(*rv) {
@@ -410,45 +297,24 @@ pub struct AllocShape {
     pub field_shapes: Vec<Option<Box<AllocShape>>>,
 }
 
-/// The vreg an instruction defines, if any (shape derivation needs to
-/// know whether a `Code` field's source has exactly one `LeaCode`
-/// definition before it may pin the closure's callee).
-fn def_of(ins: &LInstr) -> Option<VReg> {
-    match ins {
-        LInstr::Mov { dst, .. }
-        | LInstr::Alu { dst, .. }
-        | LInstr::Falu { dst, .. }
-        | LInstr::Itof { dst, .. }
-        | LInstr::Ld { dst, .. }
-        | LInstr::LdGlobal { dst, .. }
-        | LInstr::LeaCode { dst, .. }
-        | LInstr::LeaStatic { dst, .. }
-        | LInstr::Alloc { dst, .. }
-        | LInstr::AllocArr { dst, .. }
-        | LInstr::HandlerEntry { dst } => Some(*dst),
-        LInstr::Call { dst, .. } | LInstr::CallRt { dst, .. } => *dst,
-        _ => None,
-    }
-}
-
 /// The unique defining instruction of `v`'s underlying value,
 /// following single-definition register copies (`Mov v, w`) a bounded
-/// number of hops — the register allocator and the RTL → LIR pass
-/// freely copy an allocation's result before it is stored into a
-/// field, and the shape derivation must see through those copies.
+/// number of hops — RTL lowering freely copies an allocation's result
+/// before it is stored into a field, and the shape derivation must see
+/// through those copies.
 /// Returns the instruction together with the vreg it defines (the
 /// root of the copy chain). `None` when any vreg on the chain has
 /// zero or multiple definitions.
-fn single_def(f: &LirFun, v: VReg) -> Option<(&LInstr, VReg)> {
+fn single_def(f: &RtlFun, v: VReg) -> Option<(&RInstr, VReg)> {
     let mut cur = v;
     for _ in 0..8 {
-        let mut defs = f.instrs.iter().filter(|ins| def_of(ins) == Some(cur));
-        let d = defs.next()?;
-        if defs.next().is_some() {
+        let mut ds = f.instrs.iter().filter(|ins| defs(ins) == Some(cur));
+        let d = ds.next()?;
+        if ds.next().is_some() {
             return None;
         }
         match d {
-            LInstr::Mov { src: ROp::V(w), .. } if *w != cur => cur = *w,
+            RInstr::Mov { src: ROp::V(w), .. } if *w != cur => cur = *w,
             _ => return Some((d, cur)),
         }
     }
@@ -462,7 +328,7 @@ fn single_def(f: &LirFun, v: VReg) -> Option<(&LInstr, VReg)> {
 /// deliberately partial: every emitted shape agrees exactly with its
 /// header, so the machine-code verifier's shape-vs-header cross-check
 /// flags only genuine table corruption, never a conservative gap.
-pub fn alloc_shape(f: &LirFun, head: &HeadSpec, fields: &[ROp]) -> Option<AllocShape> {
+pub fn alloc_shape(f: &RtlFun, head: &HeadSpec, fields: &[ROp]) -> Option<AllocShape> {
     let mut visiting = Vec::new();
     alloc_shape_rec(f, head, fields, &mut visiting)
 }
@@ -471,7 +337,7 @@ pub fn alloc_shape(f: &LirFun, head: &HeadSpec, fields: &[ROp]) -> Option<AllocS
 /// path, guarding the nested-field recursion against a self-capturing
 /// allocation (a knot-tied closure whose fields name its own result).
 fn alloc_shape_rec(
-    f: &LirFun,
+    f: &RtlFun,
     head: &HeadSpec,
     fields: &[ROp],
     visiting: &mut Vec<VReg>,
@@ -520,7 +386,7 @@ fn alloc_shape_rec(
                 continue;
             }
             if let ROp::V(v) = fld {
-                if let Some((LInstr::LeaCode { code, .. }, _)) = single_def(f, *v) {
+                if let Some((RInstr::LeaCode { code, .. }, _)) = single_def(f, *v) {
                     code_fun = Some(*code);
                 }
             }
@@ -534,7 +400,7 @@ fn alloc_shape_rec(
         let nested = match (fld, rep) {
             (ROp::V(v), FieldRep::Traced) => match single_def(f, *v) {
                 Some((
-                    LInstr::Alloc {
+                    RInstr::Alloc {
                         head: nh,
                         fields: nf,
                         ..

@@ -50,19 +50,23 @@ fn compile(c: &Compiler) -> (Vec<til_vm::isa::Instr>, til_runtime::GcTables, Vec
     (l.code.clone(), l.tables.clone(), l.image.clone())
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for b in bytes {
+        *h ^= *b as u64;
+        *h = h.wrapping_mul(0x100_0000_01b3);
+    }
+}
+
 /// FNV-1a over a canonical rendering of the linked unit: every code
 /// instruction (assembly `Display`), the full GC tables (`Debug`), and
 /// the initial memory image word by word. Any byte-level drift in the
 /// emitted code, the tables, or the statics changes the hash.
 fn image_hash(exe: &til::Executable) -> u64 {
     let l = exe.linked();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for b in bytes {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
+    let mut h = FNV_OFFSET;
+    let mut eat = |bytes: &[u8]| fnv(&mut h, bytes);
     for ins in &l.code {
         eat(format!("{ins};").as_bytes());
     }
@@ -88,10 +92,18 @@ fn image_hash(exe: &til::Executable) -> u64 {
     h
 }
 
+/// FNV-1a over the whole x86-64 assembly text (compiled with
+/// [`Options::emit_asm`]).
+fn asm_hash(exe: &til::Executable) -> u64 {
+    let mut h = FNV_OFFSET;
+    fnv(&mut h, exe.asm().expect("emit_asm was set").text().as_bytes());
+    h
+}
+
 /// The golden-image corpus: the fixture above plus one generated
 /// program per differential class, with the committed hashes of the
-/// full-TIL and the baseline linked images. One hash per program and
-/// configuration: the image is
+/// full-TIL and the baseline linked images and x86-64 texts. One hash
+/// per program, configuration and target: the image is
 /// byte-identical across every prelude-cache level and worker count
 /// (the test asserts exactly that), and the hashes pin the backend's
 /// observable output — any refactor of lowering, register allocation,
@@ -99,27 +111,35 @@ fn image_hash(exe: &til::Executable) -> u64 {
 /// consciously re-pin them with a changelog entry explaining the
 /// image change.
 const GOLDEN_SEED: u64 = 3;
-/// Entries are `(name, source, full-TIL hash, baseline hash)`.
-fn golden_corpus() -> Vec<(&'static str, String, u64, u64)> {
+/// Entries are `(name, source, [full-TIL, baseline] image hashes,
+/// [full-TIL, baseline] x86-64 text hashes)`.
+type Golden = (&'static str, String, [u64; 2], [u64; 2]);
+
+fn golden_corpus() -> Vec<Golden> {
     vec![
-        ("fixture", SRC.to_string(), 0x272e_5529_0882_71be, 0x3507_bf19_736a_36b7),
+        (
+            "fixture",
+            SRC.to_string(),
+            [0x272e_5529_0882_71be, 0x3507_bf19_736a_36b7],
+            [0xd615_9381_e203_06af, 0xd74e_6a34_eff0_c719],
+        ),
         (
             "mixed",
             generate_class(GOLDEN_SEED, Class::Mixed).source,
-            0x1a1e_1e6c_c146_cc28,
-            0x7a7e_6894_4622_181a,
+            [0x1a1e_1e6c_c146_cc28, 0x7a7e_6894_4622_181a],
+            [0xa50a_2cf2_7350_d3a1, 0xc3c1_5980_6830_c1b1],
         ),
         (
             "exceptions",
             generate_class(GOLDEN_SEED, Class::Exceptions).source,
-            0xa918_cf8e_675f_c936,
-            0xad05_45e5_7611_0ece,
+            [0xa918_cf8e_675f_c936, 0xad05_45e5_7611_0ece],
+            [0xd9d7_1c6b_9ca0_f5a0, 0x38a3_1704_184b_b648],
         ),
         (
             "strings",
             generate_class(GOLDEN_SEED, Class::Strings).source,
-            0xabed_6ca9_50c2_6e97,
-            0x709c_7ade_6489_de3c,
+            [0xabed_6ca9_50c2_6e97, 0x709c_7ade_6489_de3c],
+            [0xa98d_1dfa_0c6e_7530, 0xfa56_60f4_98b2_aa60],
         ),
     ]
 }
@@ -130,11 +150,12 @@ fn linked_image_matches_the_committed_golden_hash() {
     // `TIL_PIN_GOLDEN=1 cargo test --test determinism linked_image -- --nocapture`
     // and paste the printed constants.
     let pin = std::env::var("TIL_PIN_GOLDEN").is_ok_and(|v| !v.is_empty() && v != "0");
-    for (name, src, til_want, baseline_want) in golden_corpus() {
-        for (config, base, want) in [
-            ("til", Options::til(), til_want),
-            ("baseline", Options::baseline(), baseline_want),
-        ] {
+    for (name, src, image_want, asm_want) in golden_corpus() {
+        for (k, (config, base)) in [("til", Options::til()), ("baseline", Options::baseline())]
+            .into_iter()
+            .enumerate()
+        {
+            let want = image_want[k];
             for cache in [PreludeCache::Off, PreludeCache::Elab, PreludeCache::Lmli] {
                 for jobs in [1usize, 8] {
                     let exe = Compiler::new(opts_from(base.clone(), cache, jobs))
@@ -156,20 +177,31 @@ fn linked_image_matches_the_committed_golden_hash() {
                     );
                 }
             }
-            if pin {
-                continue;
-            }
-            // The collection-scheduling mode is a runtime knob: compiling
-            // with the incremental scheduler must reproduce the same image.
-            let mut inc = opts_from(base, PreludeCache::Elab, 1);
-            inc.gc_mode = til::CollectMode::Incremental {
+            // The collection-scheduling mode is a runtime knob and the
+            // x86-64 text a second target: compiling with the
+            // incremental scheduler and with asm emission on must
+            // reproduce the same image.
+            let mut o = opts_from(base, PreludeCache::Elab, 1);
+            o.gc_mode = til::CollectMode::Incremental {
                 budget: til::DEFAULT_PAUSE_BUDGET,
             };
-            let exe = Compiler::new(inc).compile(&src).expect("compile");
+            o.emit_asm = true;
+            let exe = Compiler::new(o).compile(&src).expect("compile");
+            if pin {
+                println!("golden {name} {config} x86-64: {:#018x}", asm_hash(&exe));
+                continue;
+            }
             assert_eq!(
                 image_hash(&exe),
                 want,
-                "[{name}/{config}] gc_mode leaked into the golden image"
+                "[{name}/{config}] gc_mode or emit_asm leaked into the golden image"
+            );
+            assert_eq!(
+                asm_hash(&exe),
+                asm_want[k],
+                "[{name}/{config}] x86-64 text diverged from the committed golden hash \
+                 (got {:#018x})",
+                asm_hash(&exe)
             );
         }
     }

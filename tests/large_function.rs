@@ -179,25 +179,25 @@ fn large_function_verifies_and_allocates() {
     let a = allocate(f);
     // Two values are live across a call or into the handler: KEEP
     // everywhere, and the chain vreg live out of the PushHandler.
-    assert_eq!(a.nslots, 2);
+    assert_eq!(a.assign.nslots, 2);
     let slotted = [KEEP, chain(PUSH_AT)];
     for v in slotted {
         assert!(
-            matches!(a.loc[&v], Loc::Slot(_)),
+            matches!(a.assign.loc[&v], Loc::Slot(_)),
             "v{v} must live in a frame slot"
         );
     }
     // Everything else fits in registers: at most a handful of values
     // are live at any point.
     let mut regs = 0;
-    for (v, l) in &a.loc {
+    for (v, l) in &a.assign.loc {
         if let Loc::Reg(c) = l {
             assert!((*c as usize) < K, "v{v} colored {c}");
             regs += 1;
         }
     }
-    assert_eq!(regs + slotted.len(), a.loc.len());
-    assert!(a.loc.len() >= 10_000, "{} vregs allocated", a.loc.len());
+    assert_eq!(regs + slotted.len(), a.assign.loc.len());
+    assert!(a.assign.loc.len() >= 10_000, "{} vregs allocated", a.assign.loc.len());
 }
 
 #[test]
